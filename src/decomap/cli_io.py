@@ -12,9 +12,10 @@ Numbers are parsed as exact rationals (decimal strings or ``p/q``), and the
 graph JSON stores every scalar as a canonical rational string, so emitted
 files are byte-reproducible.
 
-Exit codes: 0 success, 2 validation failure (inadmissible cover, nerve not
-one-dimensional, range not covered), 3 parse failure (message carries the
-line number).
+Exit codes: 0 success, 1 ``verify-prop`` found a square that does not
+commute, 2 validation failure (inadmissible cover, nerve not
+one-dimensional, range not covered, a malformed number on the command
+line), 3 parse failure (message carries the file and line number).
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ from .interval_cover import (
     uniform_cover,
 )
 from .leray_cosheaf import NotAdmissible, build_cellular_leray, build_decorated_mapper
-from .simplicial import (
-    DuplicateVertexInSimplex,
-    MissingFunctionValue,
-    build_complex,
-    preimage_subcomplex,
-)
+from .simplicial import build_complex, preimage_subcomplex
 
 
 class ParseError(Exception):
@@ -87,6 +83,8 @@ def parse_complex_file(path):
                     vid = int(parts[1])
                 except ValueError:
                     raise ParseError(path, line_no, f"bad vertex id {parts[1]!r}")
+                if vid in values:
+                    raise ParseError(path, line_no, f"duplicate vertex {vid}")
                 values[vid] = _parse_number(parts[2], path, line_no)
             elif kind == "s":
                 if len(parts) < 2:
@@ -95,6 +93,8 @@ def parse_complex_file(path):
                     simplex = tuple(int(t) for t in parts[1:])
                 except ValueError:
                     raise ParseError(path, line_no, "vertex ids must be integers")
+                if len(set(simplex)) != len(simplex):
+                    raise ParseError(path, line_no, f"simplex {simplex} repeats a vertex")
                 for v in simplex:
                     if v not in values:
                         raise ParseError(
@@ -103,10 +103,8 @@ def parse_complex_file(path):
                 simplices.append(simplex)
             else:
                 raise ParseError(path, line_no, f"unknown record {kind!r}")
-    try:
-        return build_complex(simplices, values)
-    except (DuplicateVertexInSimplex, MissingFunctionValue) as exc:
-        raise ParseError(path, 0, str(exc))
+    # every simplex was checked on its own line, so this cannot fail
+    return build_complex(simplices, values)
 
 
 def parse_cover_file(path, default_range=None):
@@ -239,6 +237,13 @@ def graph_to_dot(g) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number_arg(option, tok):
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{option} needs a number, got {tok!r}")
+
+
 def _field_arg(name):
     if name == "gf2":
         return GF2
@@ -270,10 +275,10 @@ def cmd_build(args):
 
 
 def cmd_query(args):
+    v = OpenInterval(*(_number_arg("--interval", t) for t in args.interval))
     x, f, cover = _load_pair(args)
     field = _field_arg(args.field)
     d = build_cellular_leray(x, f, cover, field, args.max_deg)
-    v = OpenInterval(Fraction(args.interval[0]), Fraction(args.interval[1]))
     ext = continuous_extension(d, cover, v)
     oracle = homology(preimage_subcomplex(x, f, v), field, d.max_deg)
     cdims = list(ext.dims())
@@ -313,7 +318,7 @@ def cmd_converge(args):
     x, f = parse_complex_file(args.complex)
     field = _field_arg(args.field)
     table = convergence_table(
-        x, f, args.base_n, Fraction(args.overlap), args.levels,
+        x, f, args.base_n, _number_arg("--overlap", args.overlap), args.levels,
         samples=args.samples, seed=args.seed, field=field, max_deg=args.max_deg,
     )
     header = f"{'size':>5} {'resolution':>12} {'admissible':>10} {'samples':>8} {'mismatches':>11} {'interleaving':>12}"

@@ -432,7 +432,7 @@ def _phi(d, witness, pre_handle):
     return [witness.inverse(n) @ inc.matrix(n) for n in range(d.max_deg + 1)]
 
 
-def interleaving_check(x, f, c, samples=20, seed=0, field=GF2, max_deg=None,
+def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
                        d: CellularCosheaf | None = None) -> InterleavingReport:
     """Certify an eps-interleaving with eps equal to the cover resolution.
 
@@ -440,9 +440,15 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=GF2, max_deg=None,
     (V within the cover support is covered by the K_V union, which sits in
     the eps-thickening), and both triangle identities for the candidate
     maps phi: L(V) -> C(V) and psi: C(V) -> L(V^eps).
+
+    All homology is taken over the field of *d*; *field* (GF(2) when
+    omitted) only chooses it when *d* is built here, and a *field* that
+    disagrees with a given *d* raises ``ValueError``.
     """
     if d is None:
-        d = build_cellular_leray(x, f, c, field, max_deg)
+        d = build_cellular_leray(x, f, c, field or GF2, max_deg)
+    elif field is not None and field != d.field:
+        raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
     eps = resolution(c)
     support = merge_intervals(c.elements)
     checks = []
@@ -462,8 +468,8 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=GF2, max_deg=None,
         wit_e = mv_isomorphism(x, f, c, d, k_e)
         pre_v = preimage_subcomplex(x, f, v)
         pre_e = preimage_subcomplex(x, f, v_eps)
-        l_v = homology(pre_v, field, d.max_deg)
-        l_e = homology(pre_e, field, d.max_deg)
+        l_v = homology(pre_v, d.field, d.max_deg)
+        l_e = homology(pre_e, d.field, d.max_deg)
         phi_v = _phi(d, wit_v, pre_v)
         phi_e = _phi(d, wit_e, pre_e)
         push = induced_map(wit_v.target, l_e)

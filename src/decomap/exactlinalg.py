@@ -1,7 +1,7 @@
 """Exact linear algebra over GF(2) and the rationals.
 
 All algebra in this package is exact: GF(2) matrices are uint8 arrays run
-through the packed elimination kernels in :mod:`decomap.gf2kernel`, and
+through the sparse row reducer in :mod:`decomap.gf2kernel`, and
 rational matrices hold :class:`fractions.Fraction` entries (always in
 lowest terms with positive denominator).  No floating point appears
 anywhere, so matrix identities used by the test suites can be checked with
@@ -48,6 +48,10 @@ def _coerce_entry(x, field):
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)
+
+
+def _one(field):
+    return 1 if field == GF2 else Fraction(1)
 
 
 class Matrix:
@@ -110,9 +114,7 @@ class Matrix:
     @classmethod
     def identity(cls, n, field):
         m = cls.zeros(n, n, field)
-        one = 1 if field == GF2 else Fraction(1)
-        for i in range(n):
-            m.data[i, i] = one
+        m.data[range(n), range(n)] = _one(field)
         return m
 
     @classmethod
@@ -252,8 +254,11 @@ def row_reduce(m: Matrix) -> RowReduction:
     """Reduced row-echelon form with the accompanying change of basis.
 
     ``basis_change @ m == reduced`` and ``pivot_columns`` is strictly
-    increasing.  RREF is unique, so the output is representation- and
-    backend-independent.
+    increasing.  RREF is unique, so ``reduced`` and the pivots do not depend
+    on the elimination order.  ``basis_change`` does when the rows of *m* are
+    dependent, but a solve of a target in the column span through it does
+    not.  Callers that never read ``basis_change`` use :func:`_eliminate`,
+    which skips the identity augmentation.
     """
     n = m.cols
     aug = Matrix.hstack([m, Matrix.identity(m.rows, m.field)])
@@ -269,12 +274,16 @@ def row_reduce(m: Matrix) -> RowReduction:
     return RowReduction(reduced, change, piv)
 
 
-def rank(m: Matrix) -> int:
+def _eliminate(m: Matrix):
+    """RREF of *m* alone, as ``(reduced raw array, pivot columns)``."""
     if m.field == GF2:
-        _, piv = gf2_rref(m.data.copy())
-        return len(piv)
+        return gf2_rref(m.data)
     work = m.data.copy()
-    return len(_rref_q(work, m.cols))
+    return work, _rref_q(work, m.cols)
+
+
+def rank(m: Matrix) -> int:
+    return len(_eliminate(m)[1])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -283,19 +292,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free columns are enumerated in increasing order, one kernel vector per
     free column, so the basis is deterministic.
     """
-    red, _, piv = row_reduce(m)
+    red, piv = _eliminate(m)
     pivset = set(piv)
     free = [j for j in range(m.cols) if j not in pivset]
     out = Matrix.zeros(m.cols, len(free), m.field)
-    one = 1 if m.field == GF2 else Fraction(1)
-    for t, fc in enumerate(free):
-        out.data[fc, t] = one
-        for i, pc in enumerate(piv):
-            v = red.data[i, fc]
-            if m.field == GF2:
-                out.data[pc, t] = v
-            else:
-                out.data[pc, t] = -v
+    block = red[: len(piv)][:, free]
+    out.data[piv, :] = block if m.field == GF2 else -block
+    out.data[free, range(len(free))] = _one(m.field)
     return out
 
 
@@ -352,23 +355,17 @@ def cokernel_basis(subspace: Matrix, ambient_dim: int):
     """
     if subspace.rows != ambient_dim:
         raise ValueError("subspace columns must live in the ambient dimension")
-    red, _, piv = row_reduce(subspace.transpose())
+    red, piv = _eliminate(subspace.transpose())
     pivset = set(piv)
     nonpiv = [j for j in range(ambient_dim) if j not in pivset]
     q = len(nonpiv)
     field = subspace.field
     reps = Matrix.zeros(ambient_dim, q, field)
     proj = Matrix.zeros(q, ambient_dim, field)
-    one = 1 if field == GF2 else Fraction(1)
-    for t, j in enumerate(nonpiv):
-        reps.data[j, t] = one
-        proj.data[t, j] = one
-        for i, p in enumerate(piv):
-            v = red.data[i, j]
-            if field == GF2:
-                proj.data[t, p] = v
-            else:
-                proj.data[t, p] = -v
+    reps.data[nonpiv, range(q)] = _one(field)
+    proj.data[range(q), nonpiv] = _one(field)
+    block = red[: len(piv)][:, nonpiv].T
+    proj.data[:, piv] = block if field == GF2 else -block
     return reps, proj
 
 

@@ -1,113 +1,22 @@
-"""Dense GF(2) row reduction on bit-packed matrices.
+"""Sparse GF(2) row reduction on Python-int bitsets.
 
 Every homology computation in this package bottoms out in Gaussian
-elimination over GF(2), so the inner loop is worth making fast: rows are
-packed 64 columns per uint64 word and eliminated with whole-word XORs.
-
-Two interchangeable implementations are provided:
-
-* a numba ``@njit`` kernel (default when numba is importable), and
-* a vectorized pure-numpy fallback.
-
-Set the environment variable ``DECOMAP_NO_NUMBA=1`` before import to force
-the numpy path.  Both produce the identical reduced row-echelon form (RREF
-is unique, and both use the same leftmost-column / topmost-row pivot rule),
-so results never depend on the backend.  ``benchmarks/bench_gf2.py``
-compares the two.
+elimination over GF(2).  The boundary matrices it sees are very sparse
+(about 0.05 % dense on the demo torus), so each row is held as one Python
+``int`` with bit j standing for column j, and every row operation is a
+single big-integer XOR done in C.  Rows are packed once from the uint8
+input, reduced to echelon form by inserting them one at a time into a
+table keyed by their leftmost pivot-eligible column (the standard
+boundary-matrix reduction of Zomorodian and Carlsson, row-wise), then
+back-substituted right to left into reduced row-echelon form.  RREF is
+unique, so the result equals that of any other correct elimination.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ONE = np.uint64(1)
-
-
-def _rref_words_py(words, n_pivot_cols):
-    """In-place RREF of a bit-packed matrix; returns pivot column indices.
-
-    Pivots are searched left to right over the first *n_pivot_cols* columns
-    only (callers append augmentation columns past that bound); row
-    operations always apply to the full packed width.
-    """
-    m, n_words = words.shape
-    pivots = np.empty(min(m, n_pivot_cols) if m else 0, dtype=np.int64)
-    npiv = 0
-    r = 0
-    for c in range(n_pivot_cols):
-        if r >= m:
-            break
-        w = c >> 6
-        b = np.uint64(c & 63)
-        p = -1
-        for i in range(r, m):
-            if (words[i, w] >> b) & _ONE:
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for k in range(n_words):
-                t = words[p, k]
-                words[p, k] = words[r, k]
-                words[r, k] = t
-        for i in range(m):
-            if i != r and ((words[i, w] >> b) & _ONE):
-                for k in range(n_words):
-                    words[i, k] ^= words[r, k]
-        pivots[npiv] = c
-        npiv += 1
-        r += 1
-    return pivots[:npiv]
-
-
-def _rref_words_numpy(words, n_pivot_cols):
-    """Numpy-vectorized twin of :func:`_rref_words_py` (same pivot rule)."""
-    m, _ = words.shape
-    pivots = []
-    r = 0
-    for c in range(n_pivot_cols):
-        if r >= m:
-            break
-        w = c >> 6
-        b = np.uint64(c & 63)
-        col = (words[r:, w] >> b) & _ONE
-        hits = np.nonzero(col)[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            words[[r, p]] = words[[p, r]]
-        colall = (words[:, w] >> b) & _ONE
-        rows = np.nonzero(colall)[0]
-        rows = rows[rows != r]
-        if rows.size:
-            words[rows] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return np.asarray(pivots, dtype=np.int64)
-
-
-def _want_numba():
-    flag = os.environ.get("DECOMAP_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
-
-_rref_words_numba = None
-if _want_numba():
-    try:
-        from numba import njit
-
-        _rref_words_numba = njit(cache=True)(_rref_words_py)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-_rref_words = _rref_words_numba if BACKEND == "numba" else _rref_words_numpy
+BACKEND = "sparse"
 
 
 def pack_rows(a):
@@ -137,15 +46,56 @@ def unpack_rows(words, n_cols):
 def gf2_rref(a, n_pivot_cols=None):
     """RREF over GF(2) of a uint8 0/1 matrix.
 
-    Returns ``(reduced, pivot_columns)`` with *reduced* a fresh uint8 array.
+    Pivots are taken from the first *n_pivot_cols* columns only (callers
+    append augmentation columns past that bound); row operations apply to
+    the full width.  Returns ``(reduced, pivot_columns)`` with *reduced* a
+    fresh uint8 array: the pivot rows in column order, then the rows with
+    no pivot.  The input is not modified.
     """
     a = np.asarray(a, dtype=np.uint8)
     m, n = a.shape
     if n_pivot_cols is None:
         n_pivot_cols = n
+    if m == 0 or n == 0:
+        return np.zeros((m, n), dtype=np.uint8), []
     words = pack_rows(a)
-    pivots = _rref_words(words, n_pivot_cols)
-    return unpack_rows(words, n), [int(c) for c in pivots]
+    row_bytes = words.shape[1] * 8
+    buf = words.tobytes()
+    mask = (1 << n_pivot_cols) - 1
+    echelon = {}  # pivot column -> row whose leftmost eligible bit it is
+    rest = []
+    for i in range(0, m * row_bytes, row_bytes):
+        row = int.from_bytes(buf[i : i + row_bytes], "little")
+        lead = row & mask
+        while lead:
+            c = (lead & -lead).bit_length() - 1
+            pivot_row = echelon.get(c)
+            if pivot_row is None:
+                echelon[c] = row
+                break
+            row ^= pivot_row
+            lead = row & mask
+        else:
+            rest.append(row)
+    pivots = sorted(echelon)
+    # Right to left, each pivot row clears the later pivot columns it still
+    # holds; the rows it XORs in are already reduced, so they add no new
+    # pivot-column bits.
+    pivot_mask = 0
+    for c in reversed(pivots):
+        row = echelon[c]
+        hits = row & pivot_mask
+        while hits:
+            low = hits & -hits
+            row ^= echelon[low.bit_length() - 1]
+            hits ^= low
+        echelon[c] = row
+        pivot_mask |= 1 << c
+    out = b"".join(
+        r.to_bytes(row_bytes, "little") for r in [echelon[c] for c in pivots] + rest
+    )
+    words = np.frombuffer(out, dtype="<u8").reshape(m, -1)
+    return unpack_rows(words, n), pivots
 
 
 def gf2_matmul(a, b):

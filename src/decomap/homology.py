@@ -9,7 +9,7 @@ set, since the same slice tends to be requested many times.
 
 from __future__ import annotations
 
-from .exactlinalg import GF2, Matrix, SpanSolver, kernel_basis, rank, row_reduce
+from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, kernel_basis, rank
 from .simplicial import SimplicialComplex, boundary_matrix
 
 
@@ -127,7 +127,7 @@ def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
         if bnd.cols == 0:
             bases.append(cycles)
             continue
-        _, _, piv = row_reduce(Matrix.hstack([bnd, cycles]))
+        _, piv = _eliminate(Matrix.hstack([bnd, cycles]))
         chosen = [p - bnd.cols for p in piv if p >= bnd.cols]
         bases.append(cycles.take_cols(chosen))
     gvs = GradedVectorSpace(k, field, max_deg, bases)

@@ -1,14 +1,6 @@
-import numpy as np
 import pytest
 
 from decomap import assets
-from decomap.gf2kernel import gf2_rref
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger the one-time numba JIT so timed tests measure math, not compilation
-    gf2_rref(np.array([[1, 0], [1, 1]], dtype=np.uint8))
 
 
 @pytest.fixture(scope="session")

@@ -39,6 +39,12 @@ def test_parse_complex_errors(tmp_path):
         parse_complex_file(write(tmp_path, "b.scx", "v zero 0\n"))
     with pytest.raises(ParseError):
         parse_complex_file(write(tmp_path, "c.scx", "w 0 0\n"))
+    with pytest.raises(ParseError) as exc:
+        parse_complex_file(write(tmp_path, "d.scx", "v 0 0\nv 1 1\nv 0 2\n"))
+    assert exc.value.line_no == 3 and "duplicate vertex 0" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_complex_file(write(tmp_path, "e.scx", "v 0 0\nv 1 1\ns 0 1\ns 1 0 1\n"))
+    assert exc.value.line_no == 4 and "repeats a vertex" in str(exc.value)
 
 
 def test_parse_cover_explicit(tmp_path):
@@ -146,6 +152,16 @@ def test_cli_exit_code_validation(tmp_path, capsys):
         "build", "--complex", inadm, "--cover", str(ASSETS / "fine.cov"),
         "--out", str(tmp_path / "x.json"),
     ])
+    assert rc == 2
+
+    for lo, hi in (("abc", "2"), ("0", "1/0"), ("2", "1")):
+        rc = main([
+            "query", "--complex", str(ASSETS / "hexagon.scx"),
+            "--cover", str(ASSETS / "fine.cov"), "--interval", lo, hi,
+        ])
+        assert rc == 2
+    assert "--interval needs a number, got 'abc'" in capsys.readouterr().err
+    rc = main(["converge", "--complex", str(ASSETS / "hexagon.scx"), "--overlap", "x"])
     assert rc == 2
 
 

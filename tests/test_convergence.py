@@ -16,7 +16,7 @@ from decomap.convergence import (
     union_preimage,
     verify_commuting_square,
 )
-from decomap.exactlinalg import GF2, Matrix, rank
+from decomap.exactlinalg import GF2, QQ, Matrix, rank
 from decomap.homology import homology
 from decomap.interval_cover import Cover, OpenInterval, sub_nerve, thicken, uniform_cover
 from decomap.leray_cosheaf import build_cellular_leray
@@ -149,6 +149,15 @@ def test_interleaving_hexagon_fine_and_coarse(hexagon6):
     assert fine.verdict and fine.eps == Fraction(17, 10)
     coarse = interleaving_check(x, f, COARSE, samples=20, seed=42)
     assert coarse.verdict and coarse.eps == Fraction(26, 10)
+
+
+def test_interleaving_takes_the_field_of_a_given_cosheaf(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE, QQ)
+    assert interleaving_check(x, f, FINE, samples=5, seed=3, d=d).verdict
+    assert interleaving_check(x, f, FINE, samples=5, seed=3, field=QQ, d=d).verdict
+    with pytest.raises(ValueError, match="field"):
+        interleaving_check(x, f, FINE, samples=5, seed=3, field=GF2, d=d)
 
 
 def test_sample_plan_is_deterministic(hexagon6):
