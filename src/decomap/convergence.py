@@ -79,7 +79,7 @@ class ExtensionValue:
 
 
 def _restriction_hom(d: CellularCosheaf, k_v: SubNerve) -> CosheafHomology:
-    return homology_of_restriction(d.cosheaf_data(), k_v.vertices, k_v.edges)
+    return homology_of_restriction(d, k_v.vertices, k_v.edges)
 
 
 def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> ExtensionValue:
@@ -115,7 +115,7 @@ def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> Ex
         raise NotNested(f"{v} is not contained in {w}")
     k_v = sub_nerve(c, d.nerve, v)
     k_w = sub_nerve(c, d.nerve, w)
-    pairs = induced_cosheaf_map(d.cosheaf_data(), k_v.members_key(), k_w.members_key())
+    pairs = induced_cosheaf_map(d, k_v, k_w)
     src = ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
     tgt = ExtensionValue(c, k_w, _restriction_hom(d, k_w), d.field, d.max_deg)
     mats = []
@@ -181,7 +181,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
     admissibility guarantees solvability), and glues the results into a
     cycle of the union.
     """
-    key = k_v.members_key()
+    key = (k_v.vertices, k_v.edges)
     if key in d.witness_cache:
         return d.witness_cache[key]
     hom = _restriction_hom(d, k_v)
@@ -290,18 +290,30 @@ class CommutingSquareReport:
         return all(r.ok for r in self.degrees)
 
 
-def verify_commuting_square(x, f, c, v, w, field=GF2, max_deg=None,
+def _cosheaf(x, f, c, field, max_deg, d: CellularCosheaf | None) -> CellularCosheaf:
+    """*d*, or the cosheaf built here over *field* (GF(2) when omitted);
+    a *field* that disagrees with a given *d* raises ``ValueError``."""
+    if d is None:
+        return build_cellular_leray(x, f, c, field or GF2, max_deg)
+    if field is not None and field != d.field:
+        raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
+    return d
+
+
+def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
                             d: CellularCosheaf | None = None) -> CommutingSquareReport:
     """Check the witness squares for V inside W by exact matrix equality.
 
     Left vertical: the extension map.  Right vertical: the inclusion-induced
     map between union-preimage homologies.  Horizontal arrows: the two MV
-    witnesses, which must be square and invertible.
+    witnesses, which must be square and invertible.  All homology is taken
+    over the field of *d*; *field* (GF(2) when omitted) only chooses it when
+    *d* is built here, and a *field* that disagrees with a given *d* raises
+    ``ValueError``.
     """
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
-    if d is None:
-        d = build_cellular_leray(x, f, c, field, max_deg)
+    d = _cosheaf(x, f, c, field, max_deg, d)
     k_v = sub_nerve(c, d.nerve, v)
     k_w = sub_nerve(c, d.nerve, w)
     wit_v = mv_isomorphism(x, f, c, d, k_v)
@@ -445,10 +457,7 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
     omitted) only chooses it when *d* is built here, and a *field* that
     disagrees with a given *d* raises ``ValueError``.
     """
-    if d is None:
-        d = build_cellular_leray(x, f, c, field or GF2, max_deg)
-    elif field is not None and field != d.field:
-        raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
+    d = _cosheaf(x, f, c, field, max_deg, d)
     eps = resolution(c)
     support = merge_intervals(c.elements)
     checks = []
@@ -500,10 +509,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     rows: list
-
-    def final_mismatches(self):
-        done = [r for r in self.rows if r.admissible]
-        return done[-1].mismatch_count if done else None
 
 
 def convergence_table(x, f, base_n, g, levels, samples=20, seed=0, field=GF2,

@@ -6,9 +6,12 @@ endpoint values.  Per degree, the chain complex is a single block matrix
 from the edge-block to the vertex-block; H0 is its cokernel (kept as
 representatives plus an explicit projection) and H1 its kernel.
 
-The functions work on a plain :class:`CosheafData` record, so they apply
-to any graph — not only nerves of interval covers (whose nerves are
-disjoint unions of paths and never have cycles).
+Every function reads a :class:`CosheafData`: the cellular Leray cosheaf
+of :mod:`decomap.leray_cosheaf` is one, and so is any hand-built cosheaf
+such as :func:`constant_cosheaf`, so they apply to any graph — not only
+nerves of interval covers (whose nerves are disjoint unions of paths and
+never have cycles).  The boundary of an edge ``(u, v)`` is its image in
+v minus its image in u.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class CosheafData:
     max_deg: int
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
-    def restrict(self, vertices, edges):
+    def restrict(self, vertices, edges) -> CosheafData:
+        """The cosheaf on the given members, which must be cells of this one."""
         vset = set(vertices)
         eset = set(edges)
         if not vset <= set(self.vertices) or not eset <= set(self.edges):
@@ -81,7 +85,7 @@ def constant_cosheaf(n_vertices, edges, field=GF2):
 class CosheafChainComplex:
     """Edge-block -> vertex-block boundary in one fixed degree."""
 
-    def __init__(self, data: CosheafData, n, orientation=1):
+    def __init__(self, data: CosheafData, n):
         self.degree = n
         self.field = data.field
         self.vertex_offsets = {}
@@ -113,9 +117,8 @@ class CosheafChainComplex:
                 b.data[rv : rv + mv.rows, c0 : c0 + d] ^= mv.data
                 b.data[ru : ru + mu.rows, c0 : c0 + d] ^= mu.data
             else:
-                sign = 1 if orientation >= 0 else -1
-                b.data[rv : rv + mv.rows, c0 : c0 + d] += sign * mv.data
-                b.data[ru : ru + mu.rows, c0 : c0 + d] -= sign * mu.data
+                b.data[rv : rv + mv.rows, c0 : c0 + d] += mv.data
+                b.data[ru : ru + mu.rows, c0 : c0 + d] -= mu.data
         self.boundary = b
 
 
@@ -129,9 +132,9 @@ def _degree_matrix(mats, n, rows, cols, field):
     return Matrix.zeros(rows, cols, field)
 
 
-def cosheaf_boundary(data, n, orientation=1) -> CosheafChainComplex:
+def cosheaf_boundary(data: CosheafData, n) -> CosheafChainComplex:
     """Assemble the degree-n block boundary matrix of the cosheaf."""
-    return CosheafChainComplex(_as_data(data), n, orientation)
+    return CosheafChainComplex(data, n)
 
 
 class DegreeHomology:
@@ -160,15 +163,10 @@ class DegreeHomology:
 class CosheafHomology:
     """Per-degree homology of a cosheaf on a graph."""
 
-    def __init__(self, data: CosheafData, max_deg=None, orientation=1):
-        data = _as_data(data)
-        if max_deg is None:
-            max_deg = data.max_deg
+    def __init__(self, data: CosheafData):
         self.data = data
-        self.max_deg = max_deg
         self.degrees = [
-            DegreeHomology(CosheafChainComplex(data, n, orientation))
-            for n in range(max_deg + 1)
+            DegreeHomology(CosheafChainComplex(data, n)) for n in range(data.max_deg + 1)
         ]
 
     def h0_dims(self):
@@ -185,26 +183,18 @@ class CosheafHomology:
         )
 
 
-def _as_data(d) -> CosheafData:
-    if isinstance(d, CosheafData):
-        return d
-    return d.cosheaf_data()
+def cosheaf_homology(d: CosheafData) -> CosheafHomology:
+    """H0 and H1 of the cosheaf in every degree up to its max_deg."""
+    return CosheafHomology(d)
 
 
-def cosheaf_homology(d, max_deg=None) -> CosheafHomology:
-    """H0 and H1 of the cosheaf in every degree up to max_deg."""
-    return CosheafHomology(_as_data(d), max_deg)
-
-
-def homology_of_restriction(full, vertices, edges, max_deg=None,
-                            orientation=1) -> CosheafHomology:
+def homology_of_restriction(full: CosheafData, vertices, edges) -> CosheafHomology:
     """Cached cosheaf homology of a restriction of *full*."""
-    data = _as_data(full)
-    key = (tuple(vertices), tuple(edges), max_deg, orientation)
-    got = data._cache.get(key)
+    key = (tuple(vertices), tuple(edges))
+    got = full._cache.get(key)
     if got is None:
-        got = CosheafHomology(data.restrict(vertices, edges), max_deg, orientation)
-        data._cache[key] = got
+        got = CosheafHomology(full.restrict(vertices, edges))
+        full._cache[key] = got
     return got
 
 
@@ -219,23 +209,23 @@ def _extend_block(vec: Matrix, small_offsets, big_offsets, dims, n, big_dim):
     return out
 
 
-def induced_cosheaf_map(d, k_small, k_big, max_deg=None, orientation=1):
+def induced_cosheaf_map(data: CosheafData, k_small, k_big):
     """Maps on cosheaf homology induced by an inclusion of subgraphs.
 
-    Returns one ``(h0_matrix, h1_matrix)`` pair per degree.  H1 classes are
+    *k_small* and *k_big* carry ``vertices`` and ``edges`` (a
+    :class:`~decomap.interval_cover.SubNerve`, say).  Returns one
+    ``(h0_matrix, h1_matrix)`` pair per degree.  H1 classes are
     zero-extended kernel chains re-expressed in the big kernel basis; H0
     classes are zero-extended vertex representatives pushed through the big
     cokernel projection.
     """
-    data = _as_data(d)
-    sv, se = _members(k_small)
-    bv, be = _members(k_big)
-    if not set(sv) <= set(bv) or not set(se) <= set(be):
+    if not (set(k_small.vertices) <= set(k_big.vertices)
+            and set(k_small.edges) <= set(k_big.edges)):
         raise NestingViolation("the small subgraph is not inside the big one")
-    small = homology_of_restriction(data, sv, se, max_deg, orientation)
-    big = homology_of_restriction(data, bv, be, max_deg, orientation)
+    small = homology_of_restriction(data, k_small.vertices, k_small.edges)
+    big = homology_of_restriction(data, k_big.vertices, k_big.edges)
     out = []
-    for n in range(small.max_deg + 1):
+    for n in range(data.max_deg + 1):
         s = small.degrees[n]
         b = big.degrees[n]
         ext_reps = _extend_block(
@@ -258,9 +248,3 @@ def induced_cosheaf_map(d, k_small, k_big, max_deg=None, orientation=1):
                 ) from exc
         out.append((h0, h1))
     return out
-
-
-def _members(k):
-    if isinstance(k, tuple):
-        return k
-    return tuple(k.vertices), tuple(k.edges)

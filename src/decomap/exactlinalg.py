@@ -36,6 +36,19 @@ def _check_field(field):
         raise ValueError(f"unknown field {field!r}; expected 'gf2' or 'q'")
 
 
+def as_fraction(x) -> Fraction:
+    """Exact rational value of a Fraction, int, numpy integer, str or float.
+
+    A float becomes its exact binary value, never a rounded neighbour.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, np.integer):
+        # a numpy numerator would keep wrapping at 64 bits inside the Fraction
+        x = int(x)
+    return Fraction(x)
+
+
 def _coerce_entry(x, field):
     if field == GF2:
         if isinstance(x, Fraction):
@@ -43,11 +56,7 @@ def _coerce_entry(x, field):
                 raise ValueError(f"{x} is not a GF(2) scalar")
             x = x.numerator
         return int(x) & 1
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    return Fraction(x)
+    return as_fraction(x)
 
 
 def _one(field):

@@ -47,9 +47,6 @@ class GradedVectorSpace:
     def basis(self, n) -> Matrix:
         return self._bases[n]
 
-    def chain_dim(self, n):
-        return len(self.subcomplex.simplex_ids.get(n, ()))
-
     def class_solver(self, n) -> SpanSolver:
         """Factorization of [basis_n | boundaries_n] for expressing cycles."""
         if n not in self._solvers:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .exactlinalg import as_fraction
+
 
 class InvalidParams(Exception):
     pass
@@ -25,22 +27,14 @@ class NerveNotOneDimensional(Exception):
         self.triple = triple
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class OpenInterval:
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
+        object.__setattr__(self, "lo", as_fraction(self.lo))
+        object.__setattr__(self, "hi", as_fraction(self.hi))
         if not self.lo < self.hi:
             raise InvalidParams(f"need lo < hi, got ({self.lo}, {self.hi})")
 
@@ -123,14 +117,6 @@ class SubNerve:
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(sorted(edges))
 
-    def members_key(self):
-        return (self.vertices, self.edges)
-
-    def contains(self, other):
-        return set(other.vertices) <= set(self.vertices) and set(other.edges) <= set(
-            self.edges
-        )
-
     def is_empty(self):
         return not self.vertices
 
@@ -163,7 +149,7 @@ def uniform_cover(n, g, lo, hi) -> Cover:
     For g < 1/2 non-consecutive elements never meet, so the nerve is a
     path.
     """
-    lo, hi, g = _frac(lo), _frac(hi), _frac(g)
+    lo, hi, g = as_fraction(lo), as_fraction(hi), as_fraction(g)
     if n < 1 or not lo < hi or not 0 < g < 1:
         raise InvalidParams(f"bad uniform cover parameters n={n} g={g} ({lo},{hi})")
     length = (hi - lo) / (n - (n - 1) * g)
@@ -237,7 +223,7 @@ def admissible(c: Cover, x, f) -> AdmissibilityResult:
 
 
 def thicken(v: OpenInterval, eps) -> OpenInterval:
-    eps = _frac(eps)
+    eps = as_fraction(eps)
     if eps < 0:
         raise InvalidParams("thickening needs eps >= 0")
     if eps == 0:

@@ -15,12 +15,12 @@ degrees >= 1 recovers the classical mapper graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .cosheaf_homology import CosheafData
 from .exactlinalg import GF2
 from .homology import GradedLinearMap, GradedVectorSpace, homology, induced_map
-from .interval_cover import Cover, SubNerve, admissible, nerve
+from .interval_cover import Cover, NerveComplex, SubNerve, admissible, nerve
 from .simplicial import connected_components, preimage_subcomplex
 
 
@@ -32,31 +32,29 @@ class NotAdmissible(Exception):
         self.offender = offender
 
 
-class ForeignSubNerve(Exception):
-    pass
+@dataclass(eq=False, repr=False, kw_only=True)
+class CellularCosheaf(CosheafData):
+    """Graded homology data over the nerve of an admissible interval cover.
 
+    The :class:`CosheafData` fields hold the dims and matrices that the
+    cosheaf homology engine reads; the preimage handles and graded spaces
+    they were taken from stay alongside for the witness layer.
+    """
 
-class CellularCosheaf:
-    """Graded homology data over the nerve of an admissible interval cover."""
+    nerve: NerveComplex
+    vertex_handles: dict
+    vertex_values: dict
+    edge_handles: dict
+    edge_values: dict
+    edge_maps: dict
+    # memoized by the convergence layer: MV witnesses per sub-nerve and
+    # boundary factorizations per (vertex, degree)
+    witness_cache: dict = dc_field(default_factory=dict)
+    chain_solvers: dict = dc_field(default_factory=dict)
 
-    def __init__(self, x, f, cover, nerve_complex, field, max_deg,
-                 vertex_handles, vertex_values, edge_handles, edge_values, edge_maps):
-        self.complex = x
-        self.field_fn = f
-        self.cover = cover
-        self.nerve = nerve_complex
-        self.field = field
-        self.max_deg = max_deg
-        self.vertex_handles = vertex_handles
-        self.vertex_values = vertex_values
-        self.edge_handles = edge_handles
-        self.edge_values = edge_values
-        self.edge_maps = edge_maps
-        self._data = None
-        # memoized by the convergence layer: MV witnesses per sub-nerve and
-        # boundary factorizations per (vertex, degree)
-        self.witness_cache = {}
-        self.chain_solvers = {}
+    # the caches make each built cosheaf one object: compare by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def vertex_space(self, i) -> GradedVectorSpace:
         return self.vertex_values[i]
@@ -65,25 +63,8 @@ class CellularCosheaf:
         return self.edge_values[e]
 
     def cosheaf_data(self) -> CosheafData:
-        """Dimension/matrix view consumed by the cosheaf homology engine."""
-        if self._data is None:
-            deg = self.max_deg
-            self._data = CosheafData(
-                tuple(self.nerve.vertices),
-                tuple(self.nerve.edges),
-                {i: list(self.vertex_values[i].dims()) for i in self.nerve.vertices},
-                {e: list(self.edge_values[e].dims()) for e in self.nerve.edges},
-                {
-                    e: (
-                        [self.edge_maps[e][0].matrix(n) for n in range(deg + 1)],
-                        [self.edge_maps[e][1].matrix(n) for n in range(deg + 1)],
-                    )
-                    for e in self.nerve.edges
-                },
-                self.field,
-                deg,
-            )
-        return self._data
+        """This cosheaf, as the record the cosheaf homology engine reads."""
+        return self
 
     def full_subnerve(self) -> SubNerve:
         return SubNerve(self.nerve, self.nerve.vertices, self.nerve.edges)
@@ -116,35 +97,25 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
             induced_map(gvs, vertex_values[i]),
             induced_map(gvs, vertex_values[j]),
         )
+    degrees = range(max_deg + 1)
     return CellularCosheaf(
-        x, f, c, nv, field, max_deg,
-        vertex_handles, vertex_values, edge_handles, edge_values, edge_maps,
+        nv.vertices,
+        nv.edges,
+        {i: gvs.dims() for i, gvs in vertex_values.items()},
+        {e: gvs.dims() for e, gvs in edge_values.items()},
+        {
+            e: tuple([m.matrix(n) for n in degrees] for m in pair)
+            for e, pair in edge_maps.items()
+        },
+        field,
+        max_deg,
+        nerve=nv,
+        vertex_handles=vertex_handles,
+        vertex_values=vertex_values,
+        edge_handles=edge_handles,
+        edge_values=edge_values,
+        edge_maps=edge_maps,
     )
-
-
-def restrict(d: CellularCosheaf, k: SubNerve) -> CellularCosheaf:
-    """Keep exactly the sub-nerve's spaces and maps."""
-    if k.nerve is not d.nerve or not SubNerve(
-        d.nerve, d.nerve.vertices, d.nerve.edges
-    ).contains(k):
-        raise ForeignSubNerve("sub-nerve does not belong to this cosheaf's nerve")
-    verts = tuple(k.vertices)
-    edges = tuple(k.edges)
-    sub = SubNerveView(verts, edges)
-    return CellularCosheaf(
-        d.complex, d.field_fn, d.cover, sub, d.field, d.max_deg,
-        {i: d.vertex_handles[i] for i in verts},
-        {i: d.vertex_values[i] for i in verts},
-        {e: d.edge_handles[e] for e in edges},
-        {e: d.edge_values[e] for e in edges},
-        {e: d.edge_maps[e] for e in edges},
-    )
-
-
-@dataclass(frozen=True)
-class SubNerveView:
-    vertices: tuple
-    edges: tuple
 
 
 @dataclass
@@ -178,17 +149,6 @@ class DecoratedMapperGraph:
         self.nodes = nodes
         self.edges = edges
         self.cosheaf = cosheaf
-
-    def node_betti(self, k):
-        return self.nodes[k].value.dims()
-
-    def classical_mapper(self):
-        """Degree-0 shadow: node ids and one edge per overlap component."""
-        return (
-            [n.node_id for n in self.nodes],
-            [(self.nodes[e.source].node_id, self.nodes[e.target].node_id)
-             for e in self.edges],
-        )
 
 
 def build_decorated_mapper(x, f, c: Cover, field=GF2, max_deg=None) -> DecoratedMapperGraph:

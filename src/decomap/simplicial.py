@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactlinalg import GF2, Matrix
+from .exactlinalg import GF2, Matrix, as_fraction
 
 
 class DuplicateVertexInSimplex(Exception):
@@ -36,14 +36,6 @@ class DegreeOutOfRange(Exception):
     pass
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class SimplicialComplex:
     """Face-closed complex; simplices are strictly increasing vertex tuples."""
 
@@ -53,17 +45,11 @@ class SimplicialComplex:
         }
         self.max_dim = max(self.simplices, default=-1)
         self.vertices = tuple(s[0] for s in self.simplices.get(0, ()))
-        self.index = {
-            d: {s: i for i, s in enumerate(sims)} for d, sims in self.simplices.items()
-        }
         self._maximal = None
         self._hom_cache = {}
 
     def n_simplices(self, dim):
         return self.simplices.get(dim, ())
-
-    def simplex_index(self, simplex):
-        return self.index[len(simplex) - 1][simplex]
 
     def maximal_simplices(self):
         """Simplices that are not a proper face of any other simplex."""
@@ -85,7 +71,6 @@ class SimplicialComplex:
             self,
             frozenset(self.vertices),
             {d: tuple(range(len(sims))) for d, sims in self.simplices.items()},
-            is_induced=True,
         )
 
 
@@ -93,7 +78,7 @@ class ScalarField:
     """Total map vertex id -> exact rational value, extended affinely."""
 
     def __init__(self, values):
-        self.values = {v: _as_fraction(x) for v, x in values.items()}
+        self.values = {v: as_fraction(x) for v, x in values.items()}
 
     def __call__(self, vertex):
         return self.values[vertex]
@@ -108,13 +93,12 @@ class ScalarField:
 class SubcomplexHandle:
     """Read-only view of a subset of a parent complex (itself face-closed)."""
 
-    __slots__ = ("parent", "vertices", "simplex_ids", "is_induced", "_key")
+    __slots__ = ("parent", "vertices", "simplex_ids", "_key")
 
-    def __init__(self, parent, vertices, simplex_ids, is_induced=False):
+    def __init__(self, parent, vertices, simplex_ids):
         self.parent = parent
         self.vertices = frozenset(vertices)
         self.simplex_ids = {d: tuple(ids) for d, ids in simplex_ids.items() if ids}
-        self.is_induced = is_induced
         self._key = None
 
     @property
@@ -226,7 +210,7 @@ def _induced_handle(x, selected, piece_of=None):
             keep.append(i)
         if keep:
             ids[d] = tuple(keep)
-    return SubcomplexHandle(x, frozenset(selected), ids, is_induced=piece_of is None)
+    return SubcomplexHandle(x, frozenset(selected), ids)
 
 
 def preimage_subcomplex(x, f, v):
@@ -283,8 +267,7 @@ def connected_components(k):
             c = comp_of[sims[i][0]]
             ids[c].setdefault(d, []).append(i)
     return [
-        SubcomplexHandle(parent, verts[c], ids[c], is_induced=k.is_induced)
-        for c in range(len(roots))
+        SubcomplexHandle(parent, verts[c], ids[c]) for c in range(len(roots))
     ]
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from decomap import assets
 from decomap.convergence import (
     NotNested,
     continuous_extension,
@@ -158,6 +159,30 @@ def test_interleaving_takes_the_field_of_a_given_cosheaf(hexagon6):
     assert interleaving_check(x, f, FINE, samples=5, seed=3, field=QQ, d=d).verdict
     with pytest.raises(ValueError, match="field"):
         interleaving_check(x, f, FINE, samples=5, seed=3, field=GF2, d=d)
+
+
+def test_commuting_square_takes_the_field_of_a_given_cosheaf(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE, QQ)
+    w = OpenInterval(-1, 4)
+    assert verify_commuting_square(x, f, FINE, V_PROBE, w, d=d).ok
+    assert verify_commuting_square(x, f, FINE, V_PROBE, w, field=QQ, d=d).ok
+    with pytest.raises(ValueError, match="field"):
+        verify_commuting_square(x, f, FINE, V_PROBE, w, field=GF2, d=d)
+
+
+def test_extension_dims_agree_over_gf2_and_q():
+    # the two fields run through different reducers, and these inputs are
+    # torsion-free, so equal dims are an independent cross-check
+    for (x, f), cover in [
+        (assets.hexagon_circle(4), uniform_cover(4, "0.45", 0, 3)),
+        (assets.standing_torus(8, 4), uniform_cover(2, "0.4", 0, 3)),
+    ]:
+        d2 = build_cellular_leray(x, f, cover, GF2)
+        dq = build_cellular_leray(x, f, cover, QQ)
+        for v in probe_intervals(x, f, 12, 0):
+            dims = continuous_extension(d2, cover, v).dims()
+            assert dims == continuous_extension(dq, cover, v).dims()
 
 
 def test_sample_plan_is_deterministic(hexagon6):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,16 @@ def test_invert():
     assert m @ invert(m) == Matrix.identity(2, GF2)
     with pytest.raises(NotInSpan):
         invert(Matrix.zeros(2, 2, QQ))
+
+
+def test_q_numpy_integers_do_not_wrap():
+    big = 3**39  # fits int64, its square does not
+    m = Matrix(np.array([[big, 1], [1, big]]), QQ)
+    assert (m @ m).entry(0, 0) == big**2 + 1
+
+
+def test_q_float_entries_are_exact():
+    assert Matrix([[0.1]], QQ).entry(0, 0) == Fraction(0.1)
 
 
 entries = st.integers(min_value=-4, max_value=4)

@@ -2,14 +2,15 @@ from collections import Counter
 
 import pytest
 
+from decomap import assets
+from decomap.cosheaf_homology import cosheaf_homology, homology_of_restriction
 from decomap.exactlinalg import rank
+from decomap.homology import NestingViolation
 from decomap.interval_cover import Cover, OpenInterval, sub_nerve, uniform_cover
 from decomap.leray_cosheaf import (
-    ForeignSubNerve,
     NotAdmissible,
     build_cellular_leray,
     build_decorated_mapper,
-    restrict,
 )
 from decomap.simplicial import build_complex, connected_components, preimage_subcomplex
 
@@ -67,20 +68,55 @@ def test_restrict(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
     full = d.full_subnerve()
-    same = restrict(d, full)
-    assert same.nerve.vertices == (0, 1, 2)
+    same = d.restrict(full.vertices, full.edges)
+    assert same.vertices == (0, 1, 2)
     kv = sub_nerve(FINE, d.nerve, OpenInterval("1.3", "1.7"))
-    r = restrict(d, kv)
-    assert r.nerve.vertices == (1,) and r.nerve.edges == ()
-    assert r.vertex_space(1).dimension(0) == 2
+    r = d.restrict(kv.vertices, kv.edges)
+    assert r.vertices == (1,) and r.edges == ()
+    assert r.vdims[1][0] == 2
 
 
 def test_restrict_foreign_subnerve(hexagon6):
+    # members outside the nerve: a fourth cover element, a non-overlap edge
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    other = build_cellular_leray(x, f, COARSE)
-    with pytest.raises(ForeignSubNerve):
-        restrict(d, other.full_subnerve())
+    with pytest.raises(NestingViolation):
+        d.restrict((0, 1, 2, 3), ())
+    with pytest.raises(NestingViolation):
+        d.restrict((0, 2), ((0, 2),))
+
+
+def test_cellular_cosheaf_is_its_own_data(hexagon6):
+    # the dims and matrices the homology engine reads are the decorations'
+    for x, f, cover in [
+        (*hexagon6, FINE),
+        (*assets.standing_torus(8, 4), uniform_cover(2, "0.4", 0, 3)),
+    ]:
+        d = build_cellular_leray(x, f, cover)
+        assert d.cosheaf_data() is d
+        # caches hang off the object, so equality and hashing go by identity
+        assert d != build_cellular_leray(x, f, cover) and {d: 1}[d] == 1
+        assert d.vertices == d.nerve.vertices and d.edges == d.nerve.edges
+        for i in d.nerve.vertices:
+            assert tuple(d.vdims[i]) == d.vertex_values[i].dims()
+        for e in d.nerve.edges:
+            assert tuple(d.edims[e]) == d.edge_values[e].dims()
+            for k in (0, 1):
+                assert len(d.maps[e][k]) == d.max_deg + 1
+                for n in range(d.max_deg + 1):
+                    assert d.maps[e][k][n] == d.edge_maps[e][k].matrix(n)
+        subs = [d.full_subnerve()] + [
+            sub_nerve(cover, d.nerve, OpenInterval(a, b))
+            for a, b in [("-1", "0.5"), ("1.3", "1.7"), ("1", "4")]
+        ]
+        for k in subs:
+            direct = cosheaf_homology(d.restrict(k.vertices, k.edges))
+            cached = homology_of_restriction(d, k.vertices, k.edges)
+            assert direct.h0_dims() == cached.h0_dims()
+            assert direct.h1_dims() == cached.h1_dims()
+            for a, b in zip(direct.degrees, cached.degrees):
+                assert a.h0_reps == b.h0_reps and a.h0_proj == b.h0_proj
+                assert a.h1_basis == b.h1_basis
 
 
 def test_decorated_mapper_hexagon_four_cycle(hexagon6):
