@@ -316,6 +316,12 @@ def cmd_verify_prop(args):
 
 def cmd_converge(args):
     x, f = parse_complex_file(args.complex)
+    if x.max_dim > 2:
+        # the probe panel sits between critical values, exact only up to dim 2
+        raise ValidationError(
+            f"{args.complex}: converge needs a complex of dimension at most 2,"
+            f" not {x.max_dim}"
+        )
     field = _field_arg(args.field)
     table = convergence_table(
         x, f, args.base_n, _number_arg("--overlap", args.overlap), args.levels,

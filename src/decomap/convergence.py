@@ -292,11 +292,14 @@ class CommutingSquareReport:
 
 def _cosheaf(x, f, c, field, max_deg, d: CellularCosheaf | None) -> CellularCosheaf:
     """*d*, or the cosheaf built here over *field* (GF(2) when omitted);
-    a *field* that disagrees with a given *d* raises ``ValueError``."""
+    a *field* or *max_deg* that disagrees with a given *d* raises
+    ``ValueError``."""
     if d is None:
         return build_cellular_leray(x, f, c, field or GF2, max_deg)
     if field is not None and field != d.field:
         raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
+    if max_deg is not None and max_deg != d.max_deg:
+        raise ValueError(f"max_deg {max_deg} disagrees with the cosheaf's max_deg {d.max_deg}")
     return d
 
 
@@ -307,9 +310,9 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     Left vertical: the extension map.  Right vertical: the inclusion-induced
     map between union-preimage homologies.  Horizontal arrows: the two MV
     witnesses, which must be square and invertible.  All homology is taken
-    over the field of *d*; *field* (GF(2) when omitted) only chooses it when
-    *d* is built here, and a *field* that disagrees with a given *d* raises
-    ``ValueError``.
+    over the field and up to the degree of *d*; *field* (GF(2) when omitted)
+    and *max_deg* only choose them when *d* is built here, and a value that
+    disagrees with a given *d* raises ``ValueError``.
     """
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
@@ -453,9 +456,10 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
     the eps-thickening), and both triangle identities for the candidate
     maps phi: L(V) -> C(V) and psi: C(V) -> L(V^eps).
 
-    All homology is taken over the field of *d*; *field* (GF(2) when
-    omitted) only chooses it when *d* is built here, and a *field* that
-    disagrees with a given *d* raises ``ValueError``.
+    All homology is taken over the field and up to the degree of *d*;
+    *field* (GF(2) when omitted) and *max_deg* only choose them when *d* is
+    built here, and a value that disagrees with a given *d* raises
+    ``ValueError``.
     """
     d = _cosheaf(x, f, c, field, max_deg, d)
     eps = resolution(c)

@@ -49,18 +49,26 @@ class CosheafData:
     max_deg: int
     _cache: dict = dc_field(default_factory=dict, repr=False)
 
-    def restrict(self, vertices, edges) -> CosheafData:
-        """The cosheaf on the given members, which must be cells of this one."""
+    def members(self, vertices, edges):
+        """The given vertices and edges as tuples in this cosheaf's order;
+        raises ``NestingViolation`` unless all are cells of this one."""
         vset = set(vertices)
         eset = set(edges)
-        if not vset <= set(self.vertices) or not eset <= set(self.edges):
+        vs = tuple(v for v in self.vertices if v in vset)
+        es = tuple(e for e in self.edges if e in eset)
+        if len(vs) != len(vset) or len(es) != len(eset):
             raise NestingViolation("restriction members are not part of this cosheaf")
+        return vs, es
+
+    def restrict(self, vertices, edges) -> CosheafData:
+        """The cosheaf on the given members, which must be cells of this one."""
+        vs, es = self.members(vertices, edges)
         return CosheafData(
-            tuple(v for v in self.vertices if v in vset),
-            tuple(e for e in self.edges if e in eset),
-            {v: self.vdims[v] for v in vset},
-            {e: self.edims[e] for e in eset},
-            {e: self.maps[e] for e in eset},
+            vs,
+            es,
+            {v: self.vdims[v] for v in vs},
+            {e: self.edims[e] for e in es},
+            {e: self.maps[e] for e in es},
             self.field,
             self.max_deg,
         )
@@ -189,11 +197,12 @@ def cosheaf_homology(d: CosheafData) -> CosheafHomology:
 
 
 def homology_of_restriction(full: CosheafData, vertices, edges) -> CosheafHomology:
-    """Cached cosheaf homology of a restriction of *full*."""
-    key = (tuple(vertices), tuple(edges))
+    """Cached cosheaf homology of a restriction of *full*, one entry per
+    set of members whatever order they come in."""
+    key = full.members(vertices, edges)
     got = full._cache.get(key)
     if got is None:
-        got = CosheafHomology(full.restrict(vertices, edges))
+        got = CosheafHomology(full.restrict(*key))
         full._cache[key] = got
     return got
 

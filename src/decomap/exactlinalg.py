@@ -7,6 +7,14 @@ lowest terms with positive denominator).  No floating point appears
 anywhere, so matrix identities used by the test suites can be checked with
 ``==``.
 
+Rational matrices are stored dense but reduced and multiplied sparse: each
+row becomes a ``{col: value}`` dict of its nonzeros, integral values are
+held as Python ints (boundary entries are +-1, so most arithmetic never
+builds a Fraction), and the result is written back as Fractions.  The
+elimination makes the pivot choices and row operations of dense
+Gauss-Jordan, so its output, change of basis included, is the dense one
+entry for entry.
+
 The pivot rule is fixed (leftmost eligible column, topmost nonzero row),
 which together with full reduction makes every result here — and every
 homology basis built on top — reproducible bit for bit.
@@ -182,9 +190,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.field == GF2:
             return Matrix._wrap(gf2_matmul(self.data, other.data), GF2)
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(self.rows, other.cols, QQ)
-        return Matrix._wrap(np.dot(self.data, other.data), QQ)
+        return Matrix._wrap(_q_matmul(self.data, other.data), QQ)
 
     def __add__(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -231,32 +237,78 @@ class RowReduction(NamedTuple):
     pivot_columns: list
 
 
+def _q_rows(data):
+    """The rows of a rational object array as ``{col: value}`` dicts of their
+    nonzeros; integral values are held as Python ints."""
+    rows = [{} for _ in range(data.shape[0])]
+    ri, ci = np.nonzero(data)
+    for i, j, x in zip(ri.tolist(), ci.tolist(), data[ri, ci].tolist()):
+        rows[i][j] = x.numerator if x.denominator == 1 else x
+    return rows
+
+
+def _write_q(data, rows):
+    """Overwrite *data* with the sparse *rows*, as Fraction entries only."""
+    data[...] = Fraction(0)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            data[i, j] = Fraction(x)
+
+
 def _rref_q(data, n_pivot_cols):
-    """Full RREF of a Fraction object array, in place; returns pivot cols."""
-    m, n = data.shape
+    """Full RREF of a Fraction object array, in place; returns pivot cols.
+
+    Pivots come from the first *n_pivot_cols* columns: leftmost column,
+    topmost nonzero row, swapped into place.  Only nonzeros are touched,
+    and a pivot row is divided only when its pivot is not +-1.
+    """
+    m = data.shape[0]
+    rows = _q_rows(data)
     pivots = []
-    r = 0
     for c in range(n_pivot_cols):
-        if r >= m:
+        r = len(pivots)
+        if r == m:
             break
-        p = -1
-        for i in range(r, m):
-            if data[i, c] != 0:
-                p = i
-                break
+        p = next((i for i in range(r, m) if c in rows[i]), -1)
         if p < 0:
             continue
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        pv = data[r, c]
-        if pv != 1:
-            data[r, :] = data[r, :] / pv
-        for i in range(m):
-            if i != r and data[i, c] != 0:
-                data[i, :] = data[i, :] - data[i, c] * data[r, :]
+        prow = rows[p]
+        rows[p] = rows[r]
+        pv = prow[c]
+        if pv == -1:
+            prow = {j: -x for j, x in prow.items()}
+        elif pv != 1:
+            inv = 1 / Fraction(pv)
+            prow = {j: x * inv for j, x in prow.items()}
+        rows[r] = prow
+        for i, row in enumerate(rows):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
         pivots.append(c)
-        r += 1
+    _write_q(data, rows)
     return pivots
+
+
+def _q_matmul(a, b):
+    """Product of two rational object arrays over their nonzeros only."""
+    brows = _q_rows(b)
+    out_rows = []
+    for arow in _q_rows(a):
+        acc = {}
+        for k, x in arow.items():
+            for j, y in brows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out_rows.append(acc)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+    _write_q(out, out_rows)
+    return out
 
 
 def row_reduce(m: Matrix) -> RowReduction:

@@ -303,8 +303,14 @@ def critical_values(x, f):
     link are nonempty and connected (connectivity taken through the link
     edges contributed by the triangles at the vertex); the returned sorted
     list collects the values of all non-regular vertices.  Exact for PL
-    fields on complexes of dimension <= 2.
+    fields on complexes of dimension <= 2; a higher-dimensional complex
+    raises ``ValueError``, since a vertex can change the topology there
+    with both links connected.
     """
+    if x.max_dim > 2:
+        raise ValueError(
+            f"critical values are exact only up to dimension 2, not {x.max_dim}"
+        )
     link_verts = {v: set() for v in x.vertices}
     link_edges = {v: [] for v in x.vertices}
     for a, b in x.simplices.get(1, ()):

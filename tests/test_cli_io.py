@@ -165,6 +165,13 @@ def test_cli_exit_code_validation(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_converge_rejects_a_solid_tetrahedron(tmp_path, capsys):
+    solid = write(tmp_path, "solid.scx", "v 0 0\nv 1 1\nv 2 2\nv 3 3\ns 0 1 2 3\n")
+    rc = main(["converge", "--complex", solid, "--levels", "2"])
+    assert rc == 2
+    assert "dimension at most 2" in capsys.readouterr().err
+
+
 def test_cli_exit_code_parse(tmp_path, capsys):
     bad = write(tmp_path, "bad.scx", "v 0 0\ns 0 1\n")
     rc = main([

@@ -171,12 +171,25 @@ def test_commuting_square_takes_the_field_of_a_given_cosheaf(hexagon6):
         verify_commuting_square(x, f, FINE, V_PROBE, w, field=GF2, d=d)
 
 
+def test_checks_take_the_max_deg_of_a_given_cosheaf(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE)
+    assert d.max_deg == 1
+    w = OpenInterval(-1, 4)
+    rep = verify_commuting_square(x, f, FINE, V_PROBE, w, max_deg=1, d=d)
+    assert len(rep.degrees) == 2
+    with pytest.raises(ValueError, match="max_deg"):
+        verify_commuting_square(x, f, FINE, V_PROBE, w, max_deg=0, d=d)
+    with pytest.raises(ValueError, match="max_deg"):
+        interleaving_check(x, f, FINE, samples=2, max_deg=0, d=d)
+
+
 def test_extension_dims_agree_over_gf2_and_q():
     # the two fields run through different reducers, and these inputs are
     # torsion-free, so equal dims are an independent cross-check
     for (x, f), cover in [
         (assets.hexagon_circle(4), uniform_cover(4, "0.45", 0, 3)),
-        (assets.standing_torus(8, 4), uniform_cover(2, "0.4", 0, 3)),
+        (assets.standing_torus(16, 8), uniform_cover(4, "0.45", 0, 3)),
     ]:
         d2 = build_cellular_leray(x, f, cover, GF2)
         dq = build_cellular_leray(x, f, cover, QQ)

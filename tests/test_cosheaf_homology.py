@@ -120,6 +120,16 @@ def test_induced_nesting_violation(hexagon6):
         induced_cosheaf_map(d, kv, kw)
 
 
+def test_restriction_cache_ignores_member_order(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE)
+    a = homology_of_restriction(d, (0, 1), [(0, 1)])
+    assert homology_of_restriction(d, [1, 0], ((0, 1),)) is a
+    assert len(d._cache) == 1
+    with pytest.raises(NestingViolation):
+        homology_of_restriction(d, (0, 1, 7), [(0, 1)])
+
+
 def test_functoriality_over_triples(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)

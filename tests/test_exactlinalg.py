@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decomap import assets
 from decomap.exactlinalg import (
     GF2,
     QQ,
     Matrix,
     NotInSpan,
+    _rref_q,
     cokernel_basis,
     invert,
     kernel_basis,
@@ -17,6 +19,7 @@ from decomap.exactlinalg import (
     row_reduce,
     solve_in_span,
 )
+from decomap.homology import homology
 
 
 def test_row_reduce_identity():
@@ -177,3 +180,109 @@ def test_solve_round_trip_on_column_space(m):
     target = m.col(0)
     coeffs = solve_in_span(m, target)
     assert m @ coeffs == target
+
+
+def dense_rref_q(data, n_pivot_cols):
+    """Reference Gauss-Jordan over Q on a Fraction object array, in place.
+
+    Leftmost eligible column, topmost nonzero row swapped into place, the
+    pivot row divided by its pivot, then subtracted from every other row
+    with a nonzero in that column; every entry is visited.
+    """
+    m, n = data.shape
+    pivots = []
+    r = 0
+    for c in range(n_pivot_cols):
+        if r >= m:
+            break
+        p = -1
+        for i in range(r, m):
+            if data[i, c] != 0:
+                p = i
+                break
+        if p < 0:
+            continue
+        if p != r:
+            data[[r, p]] = data[[p, r]]
+        pv = data[r, c]
+        if pv != 1:
+            data[r, :] = data[r, :] / pv
+        for i in range(m):
+            if i != r and data[i, c] != 0:
+                data[i, :] = data[i, :] - data[i, c] * data[r, :]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+q_entries = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 1, 1, 2, 3])
+)
+
+
+@st.composite
+def q_arrays(draw, rows=None, max_cols=8):
+    """Fraction object arrays with non-unit pivots and dependent rows: some
+    rows are combinations of earlier ones, and rows come in shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_cols))
+    m = draw(st.integers(min_value=0, max_value=8)) if rows is None else rows
+    free = draw(st.integers(min_value=min(m, 1), max_value=m))
+    flat = draw(st.lists(q_entries, min_size=free * n, max_size=free * n))
+    out = np.empty((m, n), dtype=object)
+    out[:free] = np.array(flat, dtype=object).reshape(free, n)
+    for i in range(free, m):
+        a, b, s, t = draw(st.tuples(
+            st.integers(0, i - 1), st.integers(0, i - 1), q_entries, q_entries))
+        out[i] = s * out[a] + t * out[b]
+    return out[draw(st.permutations(range(m)))] if m else out
+
+
+def same_q(a, b):
+    """Equal shapes and values, and every entry of *a* a Fraction."""
+    return (
+        a.shape == b.shape
+        and all(type(x) is Fraction for x in a.flat)
+        and all(x == y for x, y in zip(a.flat, b.flat))
+    )
+
+
+@given(q_arrays(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_rref_q_matches_dense_reference(a, data):
+    k = data.draw(st.integers(0, a.shape[1]))
+    got, expect = a.copy(), a.copy()
+    piv = _rref_q(got, k)
+    assert piv == dense_rref_q(expect, k)
+    assert same_q(got, expect)
+
+
+@given(q_arrays())
+@settings(max_examples=200, deadline=None)
+def test_rref_q_augmented_matches_dense_reference(a):
+    m, n = a.shape
+    aug = Matrix.hstack([Matrix._wrap(a, QQ), Matrix.identity(m, QQ)]).data
+    got, expect = aug.copy(), aug.copy()
+    piv = _rref_q(got, n)
+    assert piv == dense_rref_q(expect, n)
+    # the change-of-basis block too, dependent rows included
+    assert same_q(got, expect)
+    red, change, rpiv = row_reduce(Matrix._wrap(a, QQ))
+    assert rpiv == piv
+    assert same_q(red.data, expect[:, :n]) and same_q(change.data, expect[:, n:])
+
+
+@given(q_arrays(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_q_product_matches_dense_dot(a, data):
+    b = data.draw(q_arrays(rows=a.shape[1]))
+    got = (Matrix._wrap(a, QQ) @ Matrix._wrap(b, QQ)).data
+    if a.shape[1] == 0:
+        expect = Matrix.zeros(a.shape[0], b.shape[1], QQ).data
+    else:
+        expect = np.dot(a, b)
+    assert same_q(got, expect)
+
+
+def test_q_homology_of_a_larger_torus_matches_gf2():
+    x, _ = assets.standing_torus(12, 6)
+    assert homology(x, QQ).dims() == homology(x, GF2).dims() == (1, 2, 1)

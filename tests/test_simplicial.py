@@ -194,6 +194,12 @@ def test_critical_values_hexagon(hexagon6, hexagon96):
     assert critical_values(x96, f96) == [0, 3]
 
 
+def test_critical_values_reject_dimension_three():
+    x, f = build_complex([(0, 1, 2, 3)], {i: i for i in range(4)})
+    with pytest.raises(ValueError, match="dimension 2"):
+        critical_values(x, f)
+
+
 def test_critical_values_standing_torus(torus):
     x, f = torus
     assert critical_values(x, f) == [0, Fraction(3, 2), 3]
