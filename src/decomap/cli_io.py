@@ -3,7 +3,8 @@
 Text formats only, so test assets diff cleanly:
 
 * complex files: ``v <id> <value>`` and ``s <id> <id> ...`` lines (faces are
-  closed automatically), ``#`` starts a comment;
+  closed automatically, and every ``v`` vertex is a 0-simplex), ``#``
+  starts a comment;
 * cover files: ``i <lo> <hi>`` lines, or a single
   ``uniform <n> <g> [<lo> <hi>]`` line (range defaults to the value range
   of the complex the cover is used with).
@@ -15,7 +16,8 @@ files are byte-reproducible.
 Exit codes: 0 success, 1 ``verify-prop`` found a square that does not
 commute, 2 validation failure (inadmissible cover, nerve not
 one-dimensional, range not covered, a malformed number on the command
-line), 3 parse failure (message carries the file and line number).
+line, a negative ``--max-deg`` or ``--samples``, or no ``converge``
+samples), 3 parse failure (message carries the file and line number).
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def parse_complex_file(path):
                 simplices.append(simplex)
             else:
                 raise ParseError(path, line_no, f"unknown record {kind!r}")
-    # every simplex was checked on its own line, so this cannot fail
-    return build_complex(simplices, values)
+    # every simplex was checked on its own line, so this cannot fail; a
+    # declared vertex stays a 0-simplex even when no simplex names it
+    return build_complex([(v,) for v in values] + simplices, values)
 
 
 def parse_cover_file(path, default_range=None):
@@ -126,6 +129,8 @@ def parse_cover_file(path, default_range=None):
                     raise ParseError(path, line_no, "interval needs lo < hi")
                 elements.append(OpenInterval(lo, hi))
             elif parts[0] == "uniform":
+                if uniform_spec is not None:
+                    raise ParseError(path, line_no, "a second uniform record")
                 if len(parts) not in (3, 5):
                     raise ParseError(
                         path, line_no, "expected: uniform <n> <g> [<lo> <hi>]"
@@ -290,7 +295,13 @@ def cmd_query(args):
     return 0
 
 
+def _at_least(option, value, least):
+    if value is not None and value < least:
+        raise ValidationError(f"{option} must be at least {least}, got {value}")
+
+
 def cmd_verify_prop(args):
+    _at_least("--samples", args.samples, 0)
     x, f, cover = _load_pair(args)
     field = _field_arg(args.field)
     d = build_cellular_leray(x, f, cover, field, args.max_deg)
@@ -315,6 +326,7 @@ def cmd_verify_prop(args):
 
 
 def cmd_converge(args):
+    _at_least("--samples", args.samples, 1)
     x, f = parse_complex_file(args.complex)
     if x.max_dim > 2:
         # the probe panel sits between critical values, exact only up to dim 2
@@ -415,6 +427,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _at_least("--max-deg", getattr(args, "max_deg", None), 0)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -88,15 +88,6 @@ def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> ExtensionVal
     return ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
 
 
-def _block_diag(a: Matrix, b: Matrix) -> Matrix:
-    out = Matrix.zeros(a.rows + b.rows, a.cols + b.cols, a.field)
-    if a.rows and a.cols:
-        out.data[: a.rows, : a.cols] = a.data
-    if b.rows and b.cols:
-        out.data[a.rows :, a.cols :] = b.data
-    return out
-
-
 @dataclass
 class ExtensionMap:
     """Degree-wise matrices C(V) -> C(W) for nested open intervals."""
@@ -125,7 +116,10 @@ def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> Ex
             h1 = pairs[n - 1][1]
         else:
             h1 = Matrix.zeros(0, 0, d.field)
-        mats.append(_block_diag(h0, h1))
+        mats.append(Matrix.from_blocks(
+            h0.rows + h1.rows, h0.cols + h1.cols,
+            [(0, 0, h0), (h0.rows, h0.cols, h1)], d.field,
+        ))
     return ExtensionMap(src, tgt, mats)
 
 
@@ -203,9 +197,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
                 di = gi.dimension(n)
                 if di == 0:
                     continue
-                coords = Matrix._wrap(
-                    deg.h0_reps.data[off : off + di, :].copy(), d.field
-                )
+                coords = deg.h0_reps.take_rows(range(off, off + di))
                 chains = reindex_chains(
                     gi.basis(n) @ coords, d.vertex_handles[i], big, n
                 )
@@ -232,7 +224,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
                 if de == 0:
                     continue
                 off = prev.chain.edge_offsets[e]
-                coords = Matrix._wrap(ker.data[off : off + de, :].copy(), d.field)
+                coords = ker.take_rows(range(off, off + de))
                 z = ge.basis(n - 1) @ coords
                 za = reindex_chains(z, d.edge_handles[e], d.vertex_handles[a], n - 1)
                 zb = reindex_chains(z, d.edge_handles[e], d.vertex_handles[b], n - 1)
@@ -459,8 +451,11 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
     All homology is taken over the field and up to the degree of *d*;
     *field* (GF(2) when omitted) and *max_deg* only choose them when *d* is
     built here, and a value that disagrees with a given *d* raises
-    ``ValueError``.
+    ``ValueError``, as does *samples* below 1: a verdict over no sample
+    would certify nothing.
     """
+    if samples < 1:
+        raise ValueError(f"interleaving_check needs at least one sample, got {samples}")
     d = _cosheaf(x, f, c, field, max_deg, d)
     eps = resolution(c)
     support = merge_intervals(c.elements)

@@ -108,7 +108,7 @@ class CosheafChainComplex:
             self.edge_offsets[e] = off
             off += _dim(data.edims[e], n)
         self.edge_dim = off
-        b = Matrix.zeros(self.vertex_dim, self.edge_dim, data.field)
+        blocks = []
         for e in data.edges:
             u, v = e
             d = _dim(data.edims[e], n)
@@ -118,16 +118,12 @@ class CosheafChainComplex:
             mu = _degree_matrix(to_u, n, _dim(data.vdims[u], n), d, data.field)
             mv = _degree_matrix(to_v, n, _dim(data.vdims[v], n), d, data.field)
             c0 = self.edge_offsets[e]
-            ru = self.vertex_offsets[u]
-            rv = self.vertex_offsets[v]
             # boundary of the edge (u, v), u < v: +r_v - r_u
-            if data.field == GF2:
-                b.data[rv : rv + mv.rows, c0 : c0 + d] ^= mv.data
-                b.data[ru : ru + mu.rows, c0 : c0 + d] ^= mu.data
-            else:
-                b.data[rv : rv + mv.rows, c0 : c0 + d] += mv.data
-                b.data[ru : ru + mu.rows, c0 : c0 + d] -= mu.data
-        self.boundary = b
+            blocks.append((self.vertex_offsets[v], c0, mv))
+            blocks.append((self.vertex_offsets[u], c0, -mu))
+        self.boundary = Matrix.from_blocks(
+            self.vertex_dim, self.edge_dim, blocks, data.field
+        )
 
 
 def _dim(dims, n):
@@ -138,11 +134,6 @@ def _degree_matrix(mats, n, rows, cols, field):
     if 0 <= n < len(mats):
         return mats[n]
     return Matrix.zeros(rows, cols, field)
-
-
-def cosheaf_boundary(data: CosheafData, n) -> CosheafChainComplex:
-    """Assemble the degree-n block boundary matrix of the cosheaf."""
-    return CosheafChainComplex(data, n)
 
 
 class DegreeHomology:
@@ -207,15 +198,13 @@ def homology_of_restriction(full: CosheafData, vertices, edges) -> CosheafHomolo
     return got
 
 
-def _extend_block(vec: Matrix, small_offsets, big_offsets, dims, n, big_dim):
-    out = Matrix.zeros(big_dim, vec.cols, vec.field)
-    for cell, off in small_offsets.items():
-        d = _dim(dims[cell], n)
-        if d:
-            out.data[big_offsets[cell] : big_offsets[cell] + d, :] = vec.data[
-                off : off + d, :
-            ]
-    return out
+def _block_rows(small_offsets, big_offsets, dims, n):
+    """Where each row of a small block vector lands in the big one."""
+    return [
+        big_offsets[cell] + t
+        for cell in small_offsets
+        for t in range(_dim(dims[cell], n))
+    ]
 
 
 def induced_cosheaf_map(data: CosheafData, k_small, k_big):
@@ -237,17 +226,17 @@ def induced_cosheaf_map(data: CosheafData, k_small, k_big):
     for n in range(data.max_deg + 1):
         s = small.degrees[n]
         b = big.degrees[n]
-        ext_reps = _extend_block(
-            s.h0_reps, s.chain.vertex_offsets, b.chain.vertex_offsets,
-            data.vdims, n, b.chain.vertex_dim,
+        at = _block_rows(s.chain.vertex_offsets, b.chain.vertex_offsets, data.vdims, n)
+        ext_reps = Matrix.from_blocks(
+            b.chain.vertex_dim, s.h0_dim, [(at, 0, s.h0_reps)], data.field
         )
         h0 = b.h0_proj @ ext_reps
         if s.h1_dim == 0 or b.h1_dim == 0:
             h1 = Matrix.zeros(b.h1_dim, s.h1_dim, data.field)
         else:
-            ext_ker = _extend_block(
-                s.h1_basis, s.chain.edge_offsets, b.chain.edge_offsets,
-                data.edims, n, b.chain.edge_dim,
+            at = _block_rows(s.chain.edge_offsets, b.chain.edge_offsets, data.edims, n)
+            ext_ker = Matrix.from_blocks(
+                b.chain.edge_dim, s.h1_dim, [(at, 0, s.h1_basis)], data.field
             )
             try:
                 h1 = b.h1_solver().solve(ext_ker)

@@ -7,6 +7,12 @@ lowest terms with positive denominator).  No floating point appears
 anywhere, so matrix identities used by the test suites can be checked with
 ``==``.
 
+This module alone knows how a :class:`Matrix` is stored.  Other modules
+build matrices from signed entries (:meth:`Matrix.from_entries`) or placed
+blocks (:meth:`Matrix.from_blocks`), take rows and columns, and combine
+them with ``@``, ``+`` and ``-``; none of them reads the storage or does
+field-specific arithmetic.
+
 Rational matrices are stored dense but reduced and multiplied sparse: each
 row becomes a ``{col: value}`` dict of its nonzeros, integral values are
 held as Python ints (boundary entries are +-1, so most arithmetic never
@@ -135,8 +141,28 @@ class Matrix:
         return m
 
     @classmethod
-    def column(cls, entries, field):
-        return cls.from_rows([[x] for x in entries], field)
+    def from_entries(cls, rows, cols, row_idx, col_idx, values, field):
+        """A rows x cols matrix with ``values[t]`` at ``(row_idx[t],
+        col_idx[t])``, and zero elsewhere; the positions must be distinct."""
+        m = cls.zeros(rows, cols, field)
+        m.data[list(row_idx), list(col_idx)] = [_coerce_entry(x, field) for x in values]
+        return m
+
+    @classmethod
+    def from_blocks(cls, rows, cols, blocks, field):
+        """A rows x cols matrix that is zero outside the given blocks.
+
+        Each block is ``(at_rows, at_cols, m)``, with *m* a Matrix.  A
+        position is either the index of the block's first row (column) or
+        the list of the indices its rows (columns) land on, in order.
+        Blocks must not overlap.
+        """
+        out = cls.zeros(rows, cols, field)
+        for at_rows, at_cols, m in blocks:
+            if m.field != field:
+                raise ValueError("field mismatch")
+            out.data[np.ix_(_span(at_rows, m.rows), _span(at_cols, m.cols))] = m.data
+        return out
 
     @property
     def rows(self):
@@ -154,8 +180,8 @@ class Matrix:
         x = self.data[i, j]
         return int(x) if self.field == GF2 else x
 
-    def col(self, j):
-        return Matrix._wrap(self.data[:, j : j + 1].copy(), self.field)
+    def take_rows(self, idx):
+        return Matrix._wrap(self.data[list(idx), :], self.field)
 
     def take_cols(self, idx):
         return Matrix._wrap(self.data[:, list(idx)].copy(), self.field)
@@ -223,12 +249,11 @@ class Matrix:
         raw = np.hstack([m.data for m in mats])
         return Matrix._wrap(raw, field)
 
-    @staticmethod
-    def vstack(mats):
-        mats = list(mats)
-        field = mats[0].field
-        raw = np.vstack([m.data for m in mats])
-        return Matrix._wrap(raw, field)
+
+def _span(at, n):
+    """Indices of an n-long block placed at *at*: a start index, or the
+    indices themselves."""
+    return range(at, at + n) if isinstance(at, int) else list(at)
 
 
 class RowReduction(NamedTuple):
@@ -396,14 +421,6 @@ class SpanSolver:
         for i, pc in enumerate(self.pivots):
             out.data[pc, :] = y.data[i, :]
         return out
-
-
-def solve_in_span(generators: Matrix, target: Matrix) -> Matrix:
-    """Coefficients expressing *target* in the columns of *generators*.
-
-    Raises :class:`NotInSpan` when no exact solution exists.
-    """
-    return SpanSolver(generators).solve(target)
 
 
 def cokernel_basis(subspace: Matrix, ambient_dim: int):

@@ -5,11 +5,13 @@ elimination over GF(2).  The boundary matrices it sees are very sparse
 (about 0.05 % dense on the demo torus), so each row is held as one Python
 ``int`` with bit j standing for column j, and every row operation is a
 single big-integer XOR done in C.  Rows are packed once from the uint8
-input, reduced to echelon form by inserting them one at a time into a
-table keyed by their leftmost pivot-eligible column (the standard
-boundary-matrix reduction of Zomorodian and Carlsson, row-wise), then
-back-substituted right to left into reduced row-echelon form.  RREF is
-unique, so the result equals that of any other correct elimination.
+input (``np.packbits``, then ``int.from_bytes``), reduced to echelon form
+by inserting them one at a time into a table keyed by their leftmost
+pivot-eligible column (the standard boundary-matrix reduction of
+Zomorodian and Carlsson, row-wise), then back-substituted right to left
+into reduced row-echelon form, and unpacked with one ``np.unpackbits``.
+RREF is unique, so the result equals that of any other correct
+elimination.
 """
 
 from __future__ import annotations
@@ -17,30 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "sparse"
-
-
-def pack_rows(a):
-    """Pack a uint8 0/1 matrix into uint64 words, 64 columns per word."""
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    m, n = a.shape
-    n_words = (n + 63) >> 6
-    if n == 0 or m == 0:
-        return np.zeros((m, n_words), dtype=np.uint64)
-    packed = np.packbits(a, axis=1, bitorder="little")
-    pad = n_words * 8 - packed.shape[1]
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view("<u8")
-
-
-def unpack_rows(words, n_cols):
-    """Inverse of :func:`pack_rows`."""
-    m = words.shape[0]
-    if n_cols == 0 or m == 0:
-        return np.zeros((m, n_cols), dtype=np.uint8)
-    as_bytes = words.view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, count=n_cols, bitorder="little")
-    return np.ascontiguousarray(bits)
 
 
 def gf2_rref(a, n_pivot_cols=None):
@@ -58,9 +36,9 @@ def gf2_rref(a, n_pivot_cols=None):
         n_pivot_cols = n
     if m == 0 or n == 0:
         return np.zeros((m, n), dtype=np.uint8), []
-    words = pack_rows(a)
-    row_bytes = words.shape[1] * 8
-    buf = words.tobytes()
+    packed = np.packbits(a, axis=1, bitorder="little")
+    row_bytes = packed.shape[1]
+    buf = packed.tobytes()
     mask = (1 << n_pivot_cols) - 1
     echelon = {}  # pivot column -> row whose leftmost eligible bit it is
     rest = []
@@ -94,8 +72,8 @@ def gf2_rref(a, n_pivot_cols=None):
     out = b"".join(
         r.to_bytes(row_bytes, "little") for r in [echelon[c] for c in pivots] + rest
     )
-    words = np.frombuffer(out, dtype="<u8").reshape(m, -1)
-    return unpack_rows(words, n), pivots
+    packed = np.frombuffer(out, dtype=np.uint8).reshape(m, row_bytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little"), pivots
 
 
 def gf2_matmul(a, b):

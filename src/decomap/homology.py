@@ -57,7 +57,7 @@ class GradedVectorSpace:
     def express_cycles(self, n, chains: Matrix) -> Matrix:
         """Coordinates of cycle columns in the degree-n homology basis."""
         coeffs = self.class_solver(n).solve(chains)
-        return Matrix._wrap(coeffs.data[: self.dimension(n), :].copy(), self.field)
+        return coeffs.take_rows(range(self.dimension(n)))
 
 
 class GradedLinearMap:
@@ -135,10 +135,10 @@ def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
 def reindex_chains(chains: Matrix, small, big, dim) -> Matrix:
     """Rewrite chain columns from a handle's coordinates into a superhandle's."""
     big_local = {pi: t for t, pi in enumerate(big.simplex_ids.get(dim, ()))}
-    out = Matrix.zeros(len(big_local), chains.cols, chains.field)
-    for s, pi in enumerate(small.simplex_ids.get(dim, ())):
-        out.data[big_local[pi], :] = chains.data[s, :]
-    return out
+    at_rows = [big_local[pi] for pi in small.simplex_ids.get(dim, ())]
+    return Matrix.from_blocks(
+        len(big_local), chains.cols, [(at_rows, 0, chains)], chains.field
+    )
 
 
 def induced_map(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedLinearMap:
@@ -159,20 +159,3 @@ def induced_map(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedLinearMap:
         mats.append(b.express_cycles(n, chains))
     return GradedLinearMap(a, b, mats)
 
-
-def identity_map(a: GradedVectorSpace) -> GradedLinearMap:
-    return GradedLinearMap(
-        a, a, [Matrix.identity(a.dimension(n), a.field) for n in range(a.max_deg + 1)]
-    )
-
-
-def compose(g: GradedLinearMap, f: GradedLinearMap) -> GradedLinearMap:
-    """Degree-wise product g after f."""
-    if len(g.matrices) != len(f.matrices):
-        raise ShapeMismatch("graded lengths differ")
-    out = []
-    for n, (gm, fm) in enumerate(zip(g.matrices, f.matrices)):
-        if gm.cols != fm.rows:
-            raise ShapeMismatch(f"degree {n}: {gm.shape} after {fm.shape}")
-        out.append(gm @ fm)
-    return GradedLinearMap(f.source, g.target, out)

@@ -41,9 +41,6 @@ class OpenInterval:
     def contains(self, x):
         return self.lo < x < self.hi
 
-    def contains_interval(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other):
         return max(self.lo, other.lo) < min(self.hi, other.hi)
 
@@ -65,21 +62,14 @@ class OpenInterval:
 class Cover:
     """Ordered list of open intervals indexed 0..N-1.
 
-    Containment of one element in another is tolerated (tracked as a
-    warning list, not an error); the nerve and everything downstream stay
-    well defined.
+    Containment of one element in another is tolerated; the nerve and
+    everything downstream stay well defined.
     """
 
     def __init__(self, elements):
         self.elements = tuple(elements)
         if not self.elements:
             raise InvalidParams("a cover needs at least one element")
-        self.nested_pairs = [
-            (i, j)
-            for i, j in combinations(range(len(self.elements)), 2)
-            if self.elements[i].contains_interval(self.elements[j])
-            or self.elements[j].contains_interval(self.elements[i])
-        ]
 
     def __len__(self):
         return len(self.elements)

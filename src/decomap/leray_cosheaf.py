@@ -46,7 +46,6 @@ class CellularCosheaf(CosheafData):
     vertex_values: dict
     edge_handles: dict
     edge_values: dict
-    edge_maps: dict
     # memoized by the convergence layer: MV witnesses per sub-nerve and
     # boundary factorizations per (vertex, degree)
     witness_cache: dict = dc_field(default_factory=dict)
@@ -55,12 +54,6 @@ class CellularCosheaf(CosheafData):
     # the caches make each built cosheaf one object: compare by identity
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def vertex_space(self, i) -> GradedVectorSpace:
-        return self.vertex_values[i]
-
-    def edge_space(self, e) -> GradedVectorSpace:
-        return self.edge_values[e]
 
     def cosheaf_data(self) -> CosheafData:
         """This cosheaf, as the record the cosheaf homology engine reads."""
@@ -86,27 +79,19 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
     vertex_values = {i: homology(h, field, max_deg) for i, h in vertex_handles.items()}
     edge_handles = {}
     edge_values = {}
-    edge_maps = {}
+    maps = {}
     for e in nv.edges:
-        i, j = e
-        handle = preimage_subcomplex(x, f, c.edge_interval(i, j))
+        handle = preimage_subcomplex(x, f, c.edge_interval(*e))
         gvs = homology(handle, field, max_deg)
         edge_handles[e] = handle
         edge_values[e] = gvs
-        edge_maps[e] = (
-            induced_map(gvs, vertex_values[i]),
-            induced_map(gvs, vertex_values[j]),
-        )
-    degrees = range(max_deg + 1)
+        maps[e] = tuple(induced_map(gvs, vertex_values[i]).matrices for i in e)
     return CellularCosheaf(
         nv.vertices,
         nv.edges,
         {i: gvs.dims() for i, gvs in vertex_values.items()},
         {e: gvs.dims() for e, gvs in edge_values.items()},
-        {
-            e: tuple([m.matrix(n) for n in degrees] for m in pair)
-            for e, pair in edge_maps.items()
-        },
+        maps,
         field,
         max_deg,
         nerve=nv,
@@ -114,7 +99,6 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
         vertex_values=vertex_values,
         edge_handles=edge_handles,
         edge_values=edge_values,
-        edge_maps=edge_maps,
     )
 
 

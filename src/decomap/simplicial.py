@@ -16,7 +16,6 @@ vertex values sit in a single piece.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exactlinalg import GF2, Matrix, as_fraction
@@ -180,16 +179,16 @@ def boundary_matrix(k, n, field=GF2) -> Matrix:
     rows = k.n_simplices(n - 1)
     cols = k.n_simplices(n)
     row_idx = {s: i for i, s in enumerate(rows)}
-    mat = Matrix.zeros(len(rows), len(cols), field)
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            r = row_idx[face]
-            if field == GF2:
-                mat.data[r, j] ^= 1
-            else:
-                mat.data[r, j] += Fraction(-1) ** i
-    return mat
+    faces = range(n + 1)
+    signs = [-1 if i & 1 else 1 for i in faces]
+    return Matrix.from_entries(
+        len(rows),
+        len(cols),
+        [row_idx[s[:i] + s[i + 1 :]] for s in cols for i in faces],
+        [j for j in range(len(cols)) for _ in faces],
+        signs * len(cols),
+        field,
+    )
 
 
 def _induced_handle(x, selected, piece_of=None):

@@ -68,6 +68,11 @@ def test_parse_cover_errors(tmp_path):
         parse_cover_file(write(tmp_path, "d.cov", ""))
     with pytest.raises(ParseError):
         parse_cover_file(write(tmp_path, "e.cov", "i 0 1\nuniform 2 0.3 0 1\n"))
+    with pytest.raises(ParseError) as exc:
+        parse_cover_file(
+            write(tmp_path, "f.cov", "uniform 2 0.3 0 1\n# again\nuniform 3 0.3 0 1\n")
+        )
+    assert exc.value.line_no == 3 and "second uniform" in str(exc.value)
 
 
 def test_cli_build_query_golden(tmp_path, capsys):
@@ -163,6 +168,34 @@ def test_cli_exit_code_validation(tmp_path, capsys):
     assert "--interval needs a number, got 'abc'" in capsys.readouterr().err
     rc = main(["converge", "--complex", str(ASSETS / "hexagon.scx"), "--overlap", "x"])
     assert rc == 2
+
+    # counts that would make a vacuous certificate or an empty answer
+    pair = ["--complex", str(ASSETS / "hexagon.scx"), "--cover", str(ASSETS / "fine.cov")]
+    for argv, message in [
+        (["build", *pair, "--out", str(tmp_path / "y.json"), "--max-deg", "-1"],
+         "--max-deg must be at least 0, got -1"),
+        (["query", *pair, "--interval", "1.3", "1.7", "--max-deg", "-1"], "--max-deg"),
+        (["verify-prop", *pair, "--max-deg", "-2"], "--max-deg"),
+        (["converge", *pair[:2], "--max-deg", "-1"], "--max-deg"),
+        (["converge", *pair[:2], "--samples", "0"], "--samples must be at least 1, got 0"),
+        (["verify-prop", *pair, "--samples", "-2"], "--samples must be at least 0, got -2"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "y.json").exists()
+
+
+def test_cli_keeps_isolated_vertices(tmp_path, capsys):
+    # vertex 2 is named by no simplex, yet it is a point of the complex
+    iso = write(tmp_path, "iso.scx", "v 0 0\nv 1 1\nv 2 2\ns 0 1\n")
+    one = write(tmp_path, "one.cov", "i -0.5 2.5\n")
+    rc = main(["query", "--complex", iso, "--cover", one, "--interval", "-1", "3"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "L(V) dims: [2, 0]" in out and "C(V) dims: [2, 0]" in out
+    x, _ = parse_complex_file(iso)
+    assert x.vertices == (0, 1, 2) and x.n_simplices(1) == ((0, 1),)
 
 
 def test_cli_converge_rejects_a_solid_tetrahedron(tmp_path, capsys):

@@ -144,6 +144,14 @@ def test_interleaving_single_element_cover(hexagon6):
     assert rep.verdict
 
 
+def test_interleaving_needs_a_sample(hexagon6):
+    # a verdict over no sample would pass vacuously
+    x, f = hexagon6
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            interleaving_check(x, f, FINE, samples=samples)
+
+
 def test_interleaving_hexagon_fine_and_coarse(hexagon6):
     x, f = hexagon6
     fine = interleaving_check(x, f, FINE, samples=20, seed=42)

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from decomap.cosheaf_homology import (
+    CosheafChainComplex,
     CosheafData,
     constant_cosheaf,
-    cosheaf_boundary,
     cosheaf_homology,
     homology_of_restriction,
     induced_cosheaf_map,
@@ -47,7 +47,7 @@ def test_constant_cosheaf_path_and_cycle():
 
 def test_single_edge_boundary_matrix():
     d = constant_cosheaf(2, [(0, 1)])
-    cc = cosheaf_boundary(d, 0)
+    cc = CosheafChainComplex(d, 0)
     assert cc.boundary == Matrix.from_rows([[1], [1]], GF2)
     assert rank(cc.boundary) == 1
 
@@ -56,7 +56,7 @@ def test_empty_cosheaf():
     d = CosheafData((), (), {}, {}, {}, GF2, 0)
     h = cosheaf_homology(d)
     assert h.h0_dims() == (0,) and h.h1_dims() == (0,)
-    assert cosheaf_boundary(d, 0).boundary.shape == (0, 0)
+    assert CosheafChainComplex(d, 0).boundary.shape == (0, 0)
 
 
 def test_constant_cosheaf_random_graph_oracle():
@@ -76,7 +76,7 @@ def test_constant_cosheaf_random_graph_oracle():
 def test_hexagon_fine_cover_blocks(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    cc = cosheaf_boundary(d, 0)
+    cc = CosheafChainComplex(d, 0)
     assert cc.edge_dim == 4 and cc.vertex_dim == 4
     assert rank(cc.boundary) == 3
     h = cosheaf_homology(d)

@@ -11,13 +11,13 @@ from decomap.exactlinalg import (
     QQ,
     Matrix,
     NotInSpan,
+    SpanSolver,
     _rref_q,
     cokernel_basis,
     invert,
     kernel_basis,
     rank,
     row_reduce,
-    solve_in_span,
 )
 from decomap.homology import homology
 
@@ -60,23 +60,23 @@ def test_kernel_basics():
 
 
 def test_solve_identity_returns_target():
-    t = Matrix.column([3, Fraction(1, 2)], QQ)
-    assert solve_in_span(Matrix.identity(2, QQ), t) == t
+    t = Matrix.from_rows([[3], [Fraction(1, 2)]], QQ)
+    assert SpanSolver(Matrix.identity(2, QQ)).solve(t) == t
 
 
 def test_solve_not_in_span():
     with pytest.raises(NotInSpan):
-        solve_in_span(
-            Matrix.from_rows([[1], [1]], QQ), Matrix.column([1, 0], QQ)
+        SpanSolver(Matrix.from_rows([[1], [1]], QQ)).solve(
+            Matrix.from_rows([[1], [0]], QQ)
         )
 
 
 def test_solve_gf2_two_generators():
     # generators are the columns (1,0) and (1,1); target (0,1) needs both
     gens = Matrix.from_rows([[1, 1], [0, 1]], GF2)
-    target = Matrix.column([0, 1], GF2)
-    coeffs = solve_in_span(gens, target)
-    assert coeffs == Matrix.column([1, 1], GF2)
+    target = Matrix.from_rows([[0], [1]], GF2)
+    coeffs = SpanSolver(gens).solve(target)
+    assert coeffs == Matrix.from_rows([[1], [1]], GF2)
     assert gens @ coeffs == target
 
 
@@ -177,8 +177,8 @@ def test_solve_round_trip_on_column_space(m):
     if m.cols == 0 or m.rows == 0:
         return
     # any column of m is trivially in its span
-    target = m.col(0)
-    coeffs = solve_in_span(m, target)
+    target = m.take_cols([0])
+    coeffs = SpanSolver(m).solve(target)
     assert m @ coeffs == target
 
 
@@ -281,6 +281,86 @@ def test_q_product_matches_dense_dot(a, data):
     else:
         expect = np.dot(a, b)
     assert same_q(got, expect)
+
+
+def same_data(m, expect):
+    """*m* holds exactly the numpy array *expect*, in its field's entry type."""
+    if m.field == GF2:
+        return m.data.dtype == np.uint8 and np.array_equal(m.data, expect)
+    return same_q(m.data, expect)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_take_rows_matches_numpy_slicing(m, data):
+    idx = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=6)) if m.rows else []
+    got = m.take_rows(idx)
+    assert got.field == m.field and got.shape == (len(idx), m.cols)
+    assert same_data(got, m.data[idx, :])
+    assert same_data(m.take_rows(range(m.rows)), m.data)
+
+
+@given(st.sampled_from([GF2, QQ]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_from_entries_matches_numpy_assignment(field, data):
+    rows, cols = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picked = data.draw(st.lists(st.sampled_from(cells), unique=True) if cells else st.just([]))
+    values = data.draw(st.lists(entries, min_size=len(picked), max_size=len(picked)))
+    got = Matrix.from_entries(
+        rows, cols, [i for i, _ in picked], [j for _, j in picked], values, field
+    )
+    expect = Matrix.zeros(rows, cols, field).data
+    for (i, j), x in zip(picked, values):
+        expect[i, j] = x % 2 if field == GF2 else Fraction(x)
+    assert got.field == field and same_data(got, expect)
+
+
+@st.composite
+def block_layouts(draw):
+    """A field, a target shape and non-overlapping blocks, each placed by a
+    start index or by an index list, in both axes."""
+    field = draw(st.sampled_from([GF2, QQ]))
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=3)))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [rows]):
+        if draw(st.booleans()):
+            at_rows = lo
+        else:
+            at_rows = draw(st.permutations(range(lo, hi)))
+        if draw(st.booleans()):
+            at_cols = draw(st.integers(0, cols))
+            width = draw(st.integers(0, cols - at_cols))
+        else:
+            at_cols = draw(st.lists(st.sampled_from(range(cols)), unique=True)) if cols else []
+            width = len(at_cols)
+        height = hi - lo
+        flat = draw(st.lists(entries, min_size=height * width, max_size=height * width))
+        body = [flat[r * width:(r + 1) * width] for r in range(height)]
+        m = Matrix.from_rows(body, field) if height else Matrix.zeros(0, width, field)
+        blocks.append((at_rows, at_cols, m))
+    return field, rows, cols, blocks
+
+
+@given(block_layouts())
+@settings(max_examples=150, deadline=None)
+def test_from_blocks_matches_entrywise_placement(layout):
+    field, rows, cols, blocks = layout
+    got = Matrix.from_blocks(rows, cols, blocks, field)
+    expect = Matrix.zeros(rows, cols, field).data
+    for at_rows, at_cols, m in blocks:
+        r = range(at_rows, at_rows + m.rows) if isinstance(at_rows, int) else list(at_rows)
+        c = range(at_cols, at_cols + m.cols) if isinstance(at_cols, int) else list(at_cols)
+        for s, i in enumerate(r):
+            for t, j in enumerate(c):
+                expect[i, j] = m.data[s, t]
+    assert got.field == field and same_data(got, expect)
+
+
+def test_from_blocks_rejects_a_foreign_field():
+    with pytest.raises(ValueError, match="field mismatch"):
+        Matrix.from_blocks(2, 2, [(0, 0, Matrix.identity(1, QQ))], GF2)
 
 
 def test_q_homology_of_a_larger_torus_matches_gf2():

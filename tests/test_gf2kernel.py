@@ -41,14 +41,6 @@ def bit_matrices(draw):
     return np.array(bits, dtype=np.uint8).reshape(m, n)
 
 
-def test_pack_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        m, n = rng.integers(0, 70, 2)
-        a = rng.integers(0, 2, (m, n)).astype(np.uint8)
-        assert np.array_equal(gk.unpack_rows(gk.pack_rows(a), n), a)
-
-
 @given(bit_matrices(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_dense_reference(a, data):

@@ -198,5 +198,4 @@ def test_containment_chain_property(hexagon6):
 
 def test_nested_cover_elements_warn_not_error():
     c = Cover([iv(0, 3), iv(1, 2)])
-    assert c.nested_pairs == [(0, 1)]
-    nerve(c)
+    assert nerve(c).edges == ((0, 1),)

@@ -5,7 +5,7 @@ import pytest
 from decomap import assets
 from decomap.cosheaf_homology import cosheaf_homology, homology_of_restriction
 from decomap.exactlinalg import rank
-from decomap.homology import NestingViolation
+from decomap.homology import NestingViolation, induced_map
 from decomap.interval_cover import Cover, OpenInterval, sub_nerve, uniform_cover
 from decomap.leray_cosheaf import (
     NotAdmissible,
@@ -22,26 +22,26 @@ COARSE = Cover([OpenInterval("-0.5", "2.1"), OpenInterval("0.9", "3.5")])
 def test_cellular_cosheaf_fine_cover_dims(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    assert [d.vertex_space(i).dimension(0) for i in d.nerve.vertices] == [1, 2, 1]
-    assert [d.edge_space(e).dimension(0) for e in d.nerve.edges] == [2, 2]
-    assert all(d.vertex_space(i).dimension(1) == 0 for i in d.nerve.vertices)
+    assert [d.vertex_values[i].dimension(0) for i in d.nerve.vertices] == [1, 2, 1]
+    assert [d.edge_values[e].dimension(0) for e in d.nerve.edges] == [2, 2]
+    assert all(d.vertex_values[i].dimension(1) == 0 for i in d.nerve.vertices)
 
 
 def test_single_element_cover(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, Cover([OpenInterval(-1, 4)]))
-    assert d.vertex_space(0).dims() == (1, 1)
+    assert d.vertex_values[0].dims() == (1, 1)
     assert d.nerve.edges == ()
 
 
 def test_coarse_cover_extension_maps(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, COARSE)
-    assert [d.vertex_space(i).dimension(0) for i in (0, 1)] == [1, 1]
-    assert d.edge_space((0, 1)).dimension(0) == 2
-    to0, to1 = d.edge_maps[(0, 1)]
-    assert to0.matrix(0).shape == (1, 2) and to0.rank(0) == 1
-    assert to1.matrix(0).shape == (1, 2) and to1.rank(0) == 1
+    assert [d.vertex_values[i].dimension(0) for i in (0, 1)] == [1, 1]
+    assert d.edge_values[(0, 1)].dimension(0) == 2
+    to0, to1 = d.maps[(0, 1)]
+    assert to0[0].shape == (1, 2) and rank(to0[0]) == 1
+    assert to1[0].shape == (1, 2) and rank(to1[0]) == 1
 
 
 def test_not_admissible_raises(hexagon6):
@@ -54,14 +54,12 @@ def test_not_admissible_raises(hexagon6):
 
 
 def test_extension_maps_match_direct_induced(hexagon6):
-    from decomap.homology import induced_map
-
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    for (i, j), (to_i, to_j) in d.edge_maps.items():
+    for (i, j), (to_i, to_j) in d.maps.items():
         ge = d.edge_values[(i, j)]
-        assert to_i == induced_map(ge, d.vertex_values[i])
-        assert to_j == induced_map(ge, d.vertex_values[j])
+        assert to_i == induced_map(ge, d.vertex_values[i]).matrices
+        assert to_j == induced_map(ge, d.vertex_values[j]).matrices
 
 
 def test_restrict(hexagon6):
@@ -103,8 +101,9 @@ def test_cellular_cosheaf_is_its_own_data(hexagon6):
             assert tuple(d.edims[e]) == d.edge_values[e].dims()
             for k in (0, 1):
                 assert len(d.maps[e][k]) == d.max_deg + 1
+                induced = induced_map(d.edge_values[e], d.vertex_values[e[k]])
                 for n in range(d.max_deg + 1):
-                    assert d.maps[e][k][n] == d.edge_maps[e][k].matrix(n)
+                    assert d.maps[e][k][n] == induced.matrix(n)
         subs = [d.full_subnerve()] + [
             sub_nerve(cover, d.nerve, OpenInterval(a, b))
             for a, b in [("-1", "0.5"), ("1.3", "1.7"), ("1", "4")]
@@ -156,12 +155,12 @@ def test_block_sum_invariant(hexagon6, torus):
             comps = [n for n in g.nodes if n.cover_index == i]
             for deg in range(d.max_deg + 1):
                 total = sum(n.value.dimension(deg) for n in comps)
-                assert total == d.vertex_space(i).dimension(deg)
+                assert total == d.vertex_values[i].dimension(deg)
         for e in d.nerve.edges:
             comps = [m for m in g.edges if m.cover_pair == e]
             for deg in range(d.max_deg + 1):
                 total = sum(m.value.dimension(deg) for m in comps)
-                assert total == d.edge_space(e).dimension(deg)
+                assert total == d.edge_values[e].dimension(deg)
 
 
 def test_torus_mapper_golden(torus):

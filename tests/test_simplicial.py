@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from decomap.exactlinalg import GF2, QQ, rank
+from decomap.exactlinalg import GF2, QQ, Matrix, rank
 from decomap.interval_cover import OpenInterval
 from decomap.simplicial import (
     DegreeOutOfRange,
@@ -17,6 +17,8 @@ from decomap.simplicial import (
     preimage_of_union,
     preimage_subcomplex,
 )
+
+from instancegen import random_instance
 
 
 def bfs_components(vertex_set, edges):
@@ -95,6 +97,40 @@ def test_filled_triangle_boundary_signs():
     # edges ordered (0,1),(0,2),(1,2); faces get signs +,-,+
     col = [b2.entry(i, 0) for i in range(3)]
     assert col == [Fraction(1), Fraction(-1), Fraction(1)]
+
+
+def reference_boundary(k, n, field):
+    """The boundary matrix written one entry at a time: deleting vertex
+    position i of a column simplex adds (-1)^i to its face's row."""
+    rows = k.n_simplices(n - 1)
+    cols = k.n_simplices(n)
+    row_idx = {s: i for i, s in enumerate(rows)}
+    mat = Matrix.zeros(len(rows), len(cols), field)
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            r = row_idx[s[:i] + s[i + 1 :]]
+            if field == GF2:
+                mat.data[r, j] ^= 1
+            else:
+                mat.data[r, j] += Fraction(-1) ** i
+    return mat
+
+
+def test_boundary_matrix_matches_entrywise_reference():
+    rng = random.Random(11)
+    for _ in range(20):
+        x, f, cover = random_instance(rng)
+        handles = [x.full_handle()] + [
+            preimage_subcomplex(x, f, e) for e in cover.elements
+        ]
+        for k in handles:
+            for n in range(1, x.max_dim + 1):
+                for field in (GF2, QQ):
+                    got = boundary_matrix(k, n, field)
+                    expect = reference_boundary(k, n, field)
+                    assert got.shape == expect.shape and got == expect
+                    if field == QQ:
+                        assert all(type(v) is Fraction for v in got.data.flat)
 
 
 def test_degree_out_of_range():
