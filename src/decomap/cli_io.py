@@ -16,13 +16,18 @@ files are byte-reproducible.
 Exit codes: 0 success, 1 ``verify-prop`` found a square that does not
 commute, 2 validation failure (inadmissible cover, nerve not
 one-dimensional, range not covered, a malformed number on the command
-line, a negative ``--max-deg`` or ``--samples``, or no ``converge``
-samples), 3 parse failure (message carries the file and line number).
+line, a negative ``--max-deg`` or ``--samples``, no ``converge`` samples,
+or an ``--out``, ``--dot`` or ``--csv`` path that cannot be written; the
+message names the path), 3 parse failure (message carries the file and
+line number; line 0 when the whole file is at fault: it cannot be opened,
+a complex file declares no vertex, or a cover file has no element; a file
+that is not UTF-8 text gives the line of its first bad byte).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -67,44 +72,60 @@ def _parse_number(tok, path, line_no):
         raise ParseError(path, line_no, f"not a number: {tok!r}")
 
 
+def _records(path):
+    """``(line number, fields)`` of each line of a text file that holds
+    more than a ``#`` comment; a file that cannot be read, or is not UTF-8,
+    is a ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(path, 0, f"cannot read the file: {exc.strerror}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield line_no, parts
+
+
 def parse_complex_file(path):
     """Read a ``v``/``s`` complex file into (complex, field)."""
     values = {}
     simplices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            if kind == "v":
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, "expected: v <id> <value>")
-                try:
-                    vid = int(parts[1])
-                except ValueError:
-                    raise ParseError(path, line_no, f"bad vertex id {parts[1]!r}")
-                if vid in values:
-                    raise ParseError(path, line_no, f"duplicate vertex {vid}")
-                values[vid] = _parse_number(parts[2], path, line_no)
-            elif kind == "s":
-                if len(parts) < 2:
-                    raise ParseError(path, line_no, "expected: s <id> [<id> ...]")
-                try:
-                    simplex = tuple(int(t) for t in parts[1:])
-                except ValueError:
-                    raise ParseError(path, line_no, "vertex ids must be integers")
-                if len(set(simplex)) != len(simplex):
-                    raise ParseError(path, line_no, f"simplex {simplex} repeats a vertex")
-                for v in simplex:
-                    if v not in values:
-                        raise ParseError(
-                            path, line_no, f"simplex references unknown vertex {v}"
-                        )
-                simplices.append(simplex)
-            else:
-                raise ParseError(path, line_no, f"unknown record {kind!r}")
+    for line_no, parts in _records(path):
+        kind = parts[0]
+        if kind == "v":
+            if len(parts) != 3:
+                raise ParseError(path, line_no, "expected: v <id> <value>")
+            try:
+                vid = int(parts[1])
+            except ValueError:
+                raise ParseError(path, line_no, f"bad vertex id {parts[1]!r}")
+            if vid in values:
+                raise ParseError(path, line_no, f"duplicate vertex {vid}")
+            values[vid] = _parse_number(parts[2], path, line_no)
+        elif kind == "s":
+            if len(parts) < 2:
+                raise ParseError(path, line_no, "expected: s <id> [<id> ...]")
+            try:
+                simplex = tuple(int(t) for t in parts[1:])
+            except ValueError:
+                raise ParseError(path, line_no, "vertex ids must be integers")
+            if len(set(simplex)) != len(simplex):
+                raise ParseError(path, line_no, f"simplex {simplex} repeats a vertex")
+            for v in simplex:
+                if v not in values:
+                    raise ParseError(
+                        path, line_no, f"simplex references unknown vertex {v}"
+                    )
+            simplices.append(simplex)
+        else:
+            raise ParseError(path, line_no, f"unknown record {kind!r}")
+    if not values:
+        raise ParseError(path, 0, "complex file declares no vertex")
     # every simplex was checked on its own line, so this cannot fail; a
     # declared vertex stays a 0-simplex even when no simplex names it
     return build_complex([(v,) for v in values] + simplices, values)
@@ -114,42 +135,37 @@ def parse_cover_file(path, default_range=None):
     """Read a cover file; ``uniform`` lines fall back to *default_range*."""
     elements = []
     uniform_spec = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "i":
-                if len(parts) != 3:
-                    raise ParseError(path, line_no, "expected: i <lo> <hi>")
-                lo = _parse_number(parts[1], path, line_no)
-                hi = _parse_number(parts[2], path, line_no)
-                if not lo < hi:
-                    raise ParseError(path, line_no, "interval needs lo < hi")
-                elements.append(OpenInterval(lo, hi))
-            elif parts[0] == "uniform":
-                if uniform_spec is not None:
-                    raise ParseError(path, line_no, "a second uniform record")
-                if len(parts) not in (3, 5):
-                    raise ParseError(
-                        path, line_no, "expected: uniform <n> <g> [<lo> <hi>]"
-                    )
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise ParseError(path, line_no, "element count must be an integer")
-                g = _parse_number(parts[2], path, line_no)
-                if len(parts) == 5:
-                    rng = (
-                        _parse_number(parts[3], path, line_no),
-                        _parse_number(parts[4], path, line_no),
-                    )
-                else:
-                    rng = None
-                uniform_spec = (n, g, rng, line_no)
+    for line_no, parts in _records(path):
+        if parts[0] == "i":
+            if len(parts) != 3:
+                raise ParseError(path, line_no, "expected: i <lo> <hi>")
+            lo = _parse_number(parts[1], path, line_no)
+            hi = _parse_number(parts[2], path, line_no)
+            if not lo < hi:
+                raise ParseError(path, line_no, "interval needs lo < hi")
+            elements.append(OpenInterval(lo, hi))
+        elif parts[0] == "uniform":
+            if uniform_spec is not None:
+                raise ParseError(path, line_no, "a second uniform record")
+            if len(parts) not in (3, 5):
+                raise ParseError(
+                    path, line_no, "expected: uniform <n> <g> [<lo> <hi>]"
+                )
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise ParseError(path, line_no, "element count must be an integer")
+            g = _parse_number(parts[2], path, line_no)
+            if len(parts) == 5:
+                rng = (
+                    _parse_number(parts[3], path, line_no),
+                    _parse_number(parts[4], path, line_no),
+                )
             else:
-                raise ParseError(path, line_no, f"unknown record {parts[0]!r}")
+                rng = None
+            uniform_spec = (n, g, rng, line_no)
+        else:
+            raise ParseError(path, line_no, f"unknown record {parts[0]!r}")
     if uniform_spec is not None:
         if elements:
             raise ParseError(path, uniform_spec[3], "mix of uniform and i records")
@@ -257,6 +273,16 @@ def _field_arg(name):
     raise ValidationError(f"unknown field {name!r}")
 
 
+def _write_text(path, text):
+    """Write *text* to *path*; a path that cannot be written is a
+    ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}")
+
+
 def _load_pair(args):
     x, f = parse_complex_file(args.complex)
     lo, hi = f.min_value(), f.max_value()
@@ -269,12 +295,9 @@ def _load_pair(args):
 def cmd_build(args):
     x, f, cover = _load_pair(args)
     g = build_decorated_mapper(x, f, cover, _field_arg(args.field), args.max_deg)
-    doc = graph_to_json(g)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_json(doc))
+    _write_text(args.out, emit_json(graph_to_json(g)))
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(g))
+        _write_text(args.dot, graph_to_dot(g))
     print(f"wrote {args.out}: {len(g.nodes)} nodes, {len(g.edges)} edges")
     return 0
 
@@ -349,15 +372,15 @@ def cmd_converge(args):
             f" {r.sample_count:>8} {mm:>11} {il:>12}"
         )
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("cover_size,resolution,admissible,samples,mismatches,interleaving\n")
-            for r in table.rows:
-                mm = "" if r.mismatch_count is None else r.mismatch_count
-                il = "" if r.interleaving_pass is None else int(r.interleaving_pass)
-                fh.write(
-                    f"{r.cover_size},{_fmt(r.resolution)},{int(r.admissible)},"
-                    f"{r.sample_count},{mm},{il}\n"
-                )
+        lines = ["cover_size,resolution,admissible,samples,mismatches,interleaving\n"]
+        for r in table.rows:
+            mm = "" if r.mismatch_count is None else r.mismatch_count
+            il = "" if r.interleaving_pass is None else int(r.interleaving_pass)
+            lines.append(
+                f"{r.cover_size},{_fmt(r.resolution)},{int(r.admissible)},"
+                f"{r.sample_count},{mm},{il}\n"
+            )
+        _write_text(args.csv, "".join(lines))
     return 0
 
 

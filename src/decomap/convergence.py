@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from .cosheaf_homology import (
     CosheafHomology,
-    SolveFailure,
     homology_of_restriction,
     induced_cosheaf_map,
 )
@@ -55,6 +54,10 @@ class NotNested(Exception):
     pass
 
 
+class SolveFailure(Exception):
+    """Internal inconsistency: a chain that must be solvable was not."""
+
+
 class ExtensionValue:
     """Graded value of the continuous extension at an open interval."""
 
@@ -65,14 +68,12 @@ class ExtensionValue:
         self.field = field
         self.max_deg = max_deg
 
-    def h0_dim(self, n):
-        return self.hom.degrees[n].h0_dim if 0 <= n <= self.max_deg else 0
-
-    def h1_dim(self, n):
-        return self.hom.degrees[n].h1_dim if 0 <= n <= self.max_deg else 0
-
     def dimension(self, n):
-        return self.h0_dim(n) + self.h1_dim(n - 1)
+        """dim H0 of cosheaf degree n plus dim H1 of cosheaf degree n-1."""
+        degrees = self.hom.degrees
+        h0 = degrees[n].dimension(0) if 0 <= n <= self.max_deg else 0
+        h1 = degrees[n - 1].dimension(1) if 1 <= n <= self.max_deg + 1 else 0
+        return h0 + h1
 
     def dims(self):
         return tuple(self.dimension(n) for n in range(self.max_deg + 1))
@@ -82,8 +83,22 @@ def _restriction_hom(d: CellularCosheaf, k_v: SubNerve) -> CosheafHomology:
     return homology_of_restriction(d, k_v.vertices, k_v.edges)
 
 
+def _check_cover(d: CellularCosheaf, c):
+    """Raise ``ValueError`` unless *c* has the elements *d* was built over:
+    sub-nerves of another cover name cells *d* does not have."""
+    if c is not d.cover and c.elements != d.cover.elements:
+        raise ValueError(
+            f"cover {list(c.elements)} is not the cover of the cosheaf,"
+            f" {list(d.cover.elements)}"
+        )
+
+
 def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> ExtensionValue:
-    """Extension value at V: H0 of degree n plus H1 of degree n-1 over K_V."""
+    """Extension value at V: H0 of degree n plus H1 of degree n-1 over K_V.
+
+    *c* must be the cover *d* was built over (``ValueError`` otherwise).
+    """
+    _check_cover(d, c)
     k_v = sub_nerve(c, d.nerve, v)
     return ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
 
@@ -104,6 +119,7 @@ def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> Ex
     """Block-diagonal assembly of the induced cosheaf maps for V inside W."""
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} is not contained in {w}")
+    _check_cover(d, c)
     k_v = sub_nerve(c, d.nerve, v)
     k_w = sub_nerve(c, d.nerve, w)
     pairs = induced_cosheaf_map(d, k_v, k_w)
@@ -175,6 +191,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
     admissibility guarantees solvability), and glues the results into a
     cycle of the union.
     """
+    _check_cover(d, c)
     key = (k_v.vertices, k_v.edges)
     if key in d.witness_cache:
         return d.witness_cache[key]
@@ -182,56 +199,31 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
     big = union_preimage(x, f, c, k_v)
     target = homology(big, d.field, d.max_deg)
     source = ExtensionValue(c, k_v, hom, d.field, d.max_deg)
+    into_union = {i: induced_map(d.vertex_values[i], target) for i in k_v.vertices}
     mats = []
     for n in range(d.max_deg + 1):
-        cols = []
         deg = hom.degrees[n]
-        # H0 part: vertex-block representatives glued into the union
-        if deg.h0_dim:
-            chain_cols = Matrix.zeros(
-                len(big.simplex_ids.get(n, ())), deg.h0_dim, d.field
-            )
-            for i in k_v.vertices:
-                off = deg.chain.vertex_offsets[i]
-                gi = d.vertex_values[i]
-                di = gi.dimension(n)
-                if di == 0:
-                    continue
-                coords = deg.h0_reps.take_rows(range(off, off + di))
-                chains = reindex_chains(
-                    gi.basis(n) @ coords, d.vertex_handles[i], big, n
-                )
-                chain_cols = chain_cols + chains
-            cols.append(target.express_cycles(n, chain_cols))
+        # H0 part: vertex-block classes included into the union
+        h0 = Matrix.zeros(target.dimension(n), deg.dimension(0), d.field)
+        for i, rows in deg.subcomplex.cells[0].items():
+            if rows and h0.cols:
+                h0 = h0 + into_union[i].matrix(n) @ deg.basis(0).take_rows(rows)
+        cols = [h0]
         # H1 part: zig-zag section from cosheaf degree n-1 kernel classes
-        h1_dim = hom.degrees[n - 1].h1_dim if n >= 1 else 0
-        if h1_dim:
+        if n >= 1 and hom.degrees[n - 1].dimension(1):
             prev = hom.degrees[n - 1]
-            ker = prev.h1_basis
-            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), h1_dim, d.field)
-            per_vertex = {
-                i: Matrix.zeros(
-                    len(d.vertex_handles[i].simplex_ids.get(n - 1, ())),
-                    h1_dim,
-                    d.field,
-                )
-                for i in k_v.vertices
-            }
-            for e in k_v.edges:
-                a, b = e
-                ge = d.edge_values[e]
-                de = ge.dimension(n - 1)
-                if de == 0:
+            ker = prev.basis(1)
+            per_vertex = {}
+            for e, rows in prev.subcomplex.cells[1].items():
+                if not rows:
                     continue
-                off = prev.chain.edge_offsets[e]
-                coords = ker.take_rows(range(off, off + de))
-                z = ge.basis(n - 1) @ coords
-                za = reindex_chains(z, d.edge_handles[e], d.vertex_handles[a], n - 1)
-                zb = reindex_chains(z, d.edge_handles[e], d.vertex_handles[b], n - 1)
-                per_vertex[b] = per_vertex[b] + zb
-                per_vertex[a] = per_vertex[a] - za
-            for i in k_v.vertices:
-                y = per_vertex[i]
+                z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
+                # the boundary of the edge (a, b) is b - a
+                for i, zi in zip(e, (-z, z)):
+                    zi = reindex_chains(zi, d.edge_handles[e], d.vertex_handles[i], n - 1)
+                    per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
+            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
+            for i, y in per_vertex.items():
                 if y.is_zero():
                     continue
                 try:
@@ -243,12 +235,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
                     ) from exc
                 glued = glued + reindex_chains(ci, d.vertex_handles[i], big, n)
             cols.append(target.express_cycles(n, glued))
-        tdim = target.dimension(n)
-        if cols:
-            mat = Matrix.hstack(cols) if len(cols) > 1 else cols[0]
-        else:
-            mat = Matrix.zeros(tdim, 0, d.field)
-        mats.append(mat)
+        mats.append(Matrix.hstack(cols))
     witness = MVWitness(source, target, mats)
     d.witness_cache[key] = witness
     return witness
@@ -284,10 +271,11 @@ class CommutingSquareReport:
 
 def _cosheaf(x, f, c, field, max_deg, d: CellularCosheaf | None) -> CellularCosheaf:
     """*d*, or the cosheaf built here over *field* (GF(2) when omitted);
-    a *field* or *max_deg* that disagrees with a given *d* raises
-    ``ValueError``."""
+    a *field*, *max_deg* or cover *c* that disagrees with a given *d*
+    raises ``ValueError``."""
     if d is None:
         return build_cellular_leray(x, f, c, field or GF2, max_deg)
+    _check_cover(d, c)
     if field is not None and field != d.field:
         raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
     if max_deg is not None and max_deg != d.max_deg:
@@ -303,8 +291,8 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     map between union-preimage homologies.  Horizontal arrows: the two MV
     witnesses, which must be square and invertible.  All homology is taken
     over the field and up to the degree of *d*; *field* (GF(2) when omitted)
-    and *max_deg* only choose them when *d* is built here, and a value that
-    disagrees with a given *d* raises ``ValueError``.
+    and *max_deg* only choose them when *d* is built here, and a value (or
+    a cover *c*) that disagrees with a given *d* raises ``ValueError``.
     """
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
@@ -450,8 +438,8 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
 
     All homology is taken over the field and up to the degree of *d*;
     *field* (GF(2) when omitted) and *max_deg* only choose them when *d* is
-    built here, and a value that disagrees with a given *d* raises
-    ``ValueError``, as does *samples* below 1: a verdict over no sample
+    built here, and a value (or a cover *c*) that disagrees with a given *d*
+    raises ``ValueError``, as does *samples* below 1: a verdict over no sample
     would certify nothing.
     """
     if samples < 1:

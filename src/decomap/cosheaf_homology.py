@@ -3,8 +3,9 @@
 A cosheaf here assigns a graded vector space to each vertex and edge of a
 graph together with extension maps from each edge value into its two
 endpoint values.  Per degree, the chain complex is a single block matrix
-from the edge-block to the vertex-block; H0 is its cokernel (kept as
-representatives plus an explicit projection) and H1 its kernel.
+from the edge-block to the vertex-block, and its homology (H0 in degree
+0, H1 in degree 1) comes from the engine of :mod:`decomap.homology`, as
+for any other chain complex; this module only assembles the blocks.
 
 Every function reads a :class:`CosheafData`: the cellular Leray cosheaf
 of :mod:`decomap.leray_cosheaf` is one, and so is any hand-built cosheaf
@@ -18,19 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .exactlinalg import (
-    GF2,
-    Matrix,
-    NotInSpan,
-    SpanSolver,
-    cokernel_basis,
-    kernel_basis,
-)
-from .homology import NestingViolation
-
-
-class SolveFailure(Exception):
-    """Internal inconsistency: a chain that must be solvable was not."""
+from .exactlinalg import GF2, Matrix
+from .homology import GradedVectorSpace, NestingViolation, chain_homology
 
 
 @dataclass
@@ -91,93 +81,84 @@ def constant_cosheaf(n_vertices, edges, field=GF2):
 
 
 class CosheafChainComplex:
-    """Edge-block -> vertex-block boundary in one fixed degree."""
+    """Edge-block -> vertex-block boundary in one fixed degree.
+
+    ``cells[0]`` maps each vertex, and ``cells[1]`` each edge, to the rows
+    its value takes in the vertex-block or edge-block.
+    """
 
     def __init__(self, data: CosheafData, n):
         self.degree = n
         self.field = data.field
-        self.vertex_offsets = {}
-        off = 0
-        for v in data.vertices:
-            self.vertex_offsets[v] = off
-            off += _dim(data.vdims[v], n)
-        self.vertex_dim = off
-        self.edge_offsets = {}
-        off = 0
-        for e in data.edges:
-            self.edge_offsets[e] = off
-            off += _dim(data.edims[e], n)
-        self.edge_dim = off
+        self.cells = (
+            _rows_of(data.vertices, data.vdims, n),
+            _rows_of(data.edges, data.edims, n),
+        )
+        self.counts = tuple(sum(map(len, cells.values())) for cells in self.cells)
+        self.vertex_dim, self.edge_dim = self.counts
+        vertex_rows, edge_rows = self.cells
         blocks = []
-        for e in data.edges:
-            u, v = e
-            d = _dim(data.edims[e], n)
-            if d == 0:
-                continue
-            to_u, to_v = data.maps[e]
-            mu = _degree_matrix(to_u, n, _dim(data.vdims[u], n), d, data.field)
-            mv = _degree_matrix(to_v, n, _dim(data.vdims[v], n), d, data.field)
-            c0 = self.edge_offsets[e]
-            # boundary of the edge (u, v), u < v: +r_v - r_u
-            blocks.append((self.vertex_offsets[v], c0, mv))
-            blocks.append((self.vertex_offsets[u], c0, -mu))
+        for e, cols in edge_rows.items():
+            # boundary of the edge (u, v), u < v: +r_v - r_u; a degree
+            # beyond the maps given is a zero map
+            for cell, mats, sign in zip(e, data.maps[e], (-1, 1)):
+                if n < len(mats):
+                    m = mats[n] if sign > 0 else -mats[n]
+                    blocks.append((vertex_rows[cell].start, cols.start, m))
         self.boundary = Matrix.from_blocks(
             self.vertex_dim, self.edge_dim, blocks, data.field
         )
 
+    def homology(self) -> GradedVectorSpace:
+        """H0 in degree 0 and H1 in degree 1, from the homology engine;
+        no cell lies above the edges."""
+        above = Matrix.zeros(self.edge_dim, 0, self.field)
+        return chain_homology(
+            self.counts, lambda n: self.boundary if n == 1 else above, self.field, self
+        )
 
-def _dim(dims, n):
-    return dims[n] if 0 <= n < len(dims) else 0
+    def reindex(self, chains: Matrix, small: CosheafChainComplex, k) -> Matrix:
+        """Degree-k chain columns of *small*, the complex of a restriction,
+        rewritten in this complex's coordinates."""
+        at = [t for cell, rows in small.cells[k].items() for t in self.cells[k][cell]]
+        return Matrix.from_blocks(
+            self.counts[k], chains.cols, [(at, 0, chains)], self.field
+        )
 
 
-def _degree_matrix(mats, n, rows, cols, field):
-    if 0 <= n < len(mats):
-        return mats[n]
-    return Matrix.zeros(rows, cols, field)
-
-
-class DegreeHomology:
-    """H0 (representatives + projection) and H1 (kernel basis) in one degree."""
-
-    def __init__(self, chain: CosheafChainComplex):
-        self.chain = chain
-        self.h0_reps, self.h0_proj = cokernel_basis(chain.boundary, chain.vertex_dim)
-        self.h1_basis = kernel_basis(chain.boundary)
-        self._h1_solver = None
-
-    @property
-    def h0_dim(self):
-        return self.h0_reps.cols
-
-    @property
-    def h1_dim(self):
-        return self.h1_basis.cols
-
-    def h1_solver(self) -> SpanSolver:
-        if self._h1_solver is None:
-            self._h1_solver = SpanSolver(self.h1_basis)
-        return self._h1_solver
+def _rows_of(cells, dims, n):
+    """Each cell's rows in the block that stacks the cells' degree-n values."""
+    rows = {}
+    off = 0
+    for cell in cells:
+        d = dims[cell][n] if n < len(dims[cell]) else 0
+        rows[cell] = range(off, off + d)
+        off += d
+    return rows
 
 
 class CosheafHomology:
-    """Per-degree homology of a cosheaf on a graph."""
+    """Per-degree homology of a cosheaf on a graph: ``degrees[n]`` is the
+    homology of the degree-n chain complex, H0 in its degree 0 and H1 in
+    its degree 1."""
 
     def __init__(self, data: CosheafData):
         self.data = data
         self.degrees = [
-            DegreeHomology(CosheafChainComplex(data, n)) for n in range(data.max_deg + 1)
+            CosheafChainComplex(data, n).homology() for n in range(data.max_deg + 1)
         ]
 
     def h0_dims(self):
-        return tuple(d.h0_dim for d in self.degrees)
+        return tuple(d.dimension(0) for d in self.degrees)
 
     def h1_dims(self):
-        return tuple(d.h1_dim for d in self.degrees)
+        return tuple(d.dimension(1) for d in self.degrees)
 
     def euler_ok(self):
         """dim H0 - dim H1 == vertex block - edge block, degree-wise."""
         return all(
-            d.h0_dim - d.h1_dim == d.chain.vertex_dim - d.chain.edge_dim
+            d.dimension(0) - d.dimension(1)
+            == d.subcomplex.vertex_dim - d.subcomplex.edge_dim
             for d in self.degrees
         )
 
@@ -198,13 +179,12 @@ def homology_of_restriction(full: CosheafData, vertices, edges) -> CosheafHomolo
     return got
 
 
-def _block_rows(small_offsets, big_offsets, dims, n):
-    """Where each row of a small block vector lands in the big one."""
-    return [
-        big_offsets[cell] + t
-        for cell in small_offsets
-        for t in range(_dim(dims[cell], n))
-    ]
+def _class_map(s: GradedVectorSpace, b: GradedVectorSpace, k) -> Matrix:
+    """Degree-k classes of *s* zero-extended into *b*'s complex, in *b*'s basis."""
+    if s.dimension(k) == 0 or b.dimension(k) == 0:
+        return Matrix.zeros(b.dimension(k), s.dimension(k), b.field)
+    chains = b.subcomplex.reindex(s.basis(k), s.subcomplex, k)
+    return b.express_cycles(k, chains)
 
 
 def induced_cosheaf_map(data: CosheafData, k_small, k_big):
@@ -212,37 +192,15 @@ def induced_cosheaf_map(data: CosheafData, k_small, k_big):
 
     *k_small* and *k_big* carry ``vertices`` and ``edges`` (a
     :class:`~decomap.interval_cover.SubNerve`, say).  Returns one
-    ``(h0_matrix, h1_matrix)`` pair per degree.  H1 classes are
-    zero-extended kernel chains re-expressed in the big kernel basis; H0
-    classes are zero-extended vertex representatives pushed through the big
-    cokernel projection.
+    ``(h0_matrix, h1_matrix)`` pair per degree: the basis chains of the
+    small homology, zero-extended and re-expressed in the big basis.
     """
     if not (set(k_small.vertices) <= set(k_big.vertices)
             and set(k_small.edges) <= set(k_big.edges)):
         raise NestingViolation("the small subgraph is not inside the big one")
     small = homology_of_restriction(data, k_small.vertices, k_small.edges)
     big = homology_of_restriction(data, k_big.vertices, k_big.edges)
-    out = []
-    for n in range(data.max_deg + 1):
-        s = small.degrees[n]
-        b = big.degrees[n]
-        at = _block_rows(s.chain.vertex_offsets, b.chain.vertex_offsets, data.vdims, n)
-        ext_reps = Matrix.from_blocks(
-            b.chain.vertex_dim, s.h0_dim, [(at, 0, s.h0_reps)], data.field
-        )
-        h0 = b.h0_proj @ ext_reps
-        if s.h1_dim == 0 or b.h1_dim == 0:
-            h1 = Matrix.zeros(b.h1_dim, s.h1_dim, data.field)
-        else:
-            at = _block_rows(s.chain.edge_offsets, b.chain.edge_offsets, data.edims, n)
-            ext_ker = Matrix.from_blocks(
-                b.chain.edge_dim, s.h1_dim, [(at, 0, s.h1_basis)], data.field
-            )
-            try:
-                h1 = b.h1_solver().solve(ext_ker)
-            except NotInSpan as exc:  # pragma: no cover - indicates a bug
-                raise SolveFailure(
-                    "extended kernel chain escaped the big kernel"
-                ) from exc
-        out.append((h0, h1))
-    return out
+    return [
+        (_class_map(s, b, 0), _class_map(s, b, 1))
+        for s, b in zip(small.degrees, big.degrees)
+    ]

@@ -189,9 +189,6 @@ class Matrix:
     def copy(self):
         return Matrix._wrap(self.data.copy(), self.field)
 
-    def transpose(self):
-        return Matrix._wrap(self.data.T.copy(), self.field)
-
     def is_zero(self):
         if self.field == GF2:
             return not self.data.any()
@@ -421,30 +418,6 @@ class SpanSolver:
         for i, pc in enumerate(self.pivots):
             out.data[pc, :] = y.data[i, :]
         return out
-
-
-def cokernel_basis(subspace: Matrix, ambient_dim: int):
-    """Basis data for ambient / column-span(subspace).
-
-    Returns ``(representatives, projection)``: representative columns are
-    standard basis vectors at the non-pivot coordinates of the reduced
-    subspace, and ``projection @ v`` gives the coordinates of ``[v]`` in
-    that basis.  ``projection @ subspace == 0`` by construction.
-    """
-    if subspace.rows != ambient_dim:
-        raise ValueError("subspace columns must live in the ambient dimension")
-    red, piv = _eliminate(subspace.transpose())
-    pivset = set(piv)
-    nonpiv = [j for j in range(ambient_dim) if j not in pivset]
-    q = len(nonpiv)
-    field = subspace.field
-    reps = Matrix.zeros(ambient_dim, q, field)
-    proj = Matrix.zeros(q, ambient_dim, field)
-    reps.data[nonpiv, range(q)] = _one(field)
-    proj.data[range(q), nonpiv] = _one(field)
-    block = red[: len(piv)][:, nonpiv].T
-    proj.data[:, piv] = block if field == GF2 else -block
-    return reps, proj
 
 
 def invert(m: Matrix) -> Matrix:

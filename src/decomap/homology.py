@@ -1,10 +1,14 @@
-"""Graded simplicial homology with explicit cycle-representative bases.
+"""Homology with explicit cycle-representative bases, for every chain
+complex in the package.
 
-Bases are chosen by completing the boundary space inside the cycle space
-under the fixed pivot rule of :mod:`decomap.exactlinalg`, so the matrices
-of inclusion-induced maps are reproducible and can be compared exactly.
-Results are memoized on the parent complex keyed by the selected simplex
-set, since the same slice tends to be requested many times.
+:func:`chain_homology` picks bases by completing the boundary space inside
+the cycle space under the fixed pivot rule of :mod:`decomap.exactlinalg`,
+so the matrices of induced maps are reproducible and can be compared
+exactly; :meth:`GradedVectorSpace.express_cycles` gives class coordinates.
+:func:`homology` adapts it to simplicial (sub)complexes and memoizes the
+result on the parent complex keyed by the selected simplex set, since the
+same slice tends to be requested many times; the cosheaf complexes of
+:mod:`decomap.cosheaf_homology` call it directly.
 """
 
 from __future__ import annotations
@@ -22,18 +26,20 @@ class ShapeMismatch(Exception):
 
 
 class GradedVectorSpace:
-    """Homology of a subcomplex in degrees 0..max_deg with chosen bases.
+    """Homology of a chain complex in degrees 0..max_deg with chosen bases.
 
     ``basis(n)`` has one column per homology class, written as a cycle in
-    the handle's n-chain coordinates.  Degrees above max_deg are zero by
-    convention.
+    the complex's n-chain coordinates.  Degrees above max_deg are zero by
+    convention.  ``subcomplex`` is the complex the homology is of: a
+    simplicial handle, or a cosheaf's chain complex in one degree.
     """
 
-    def __init__(self, subcomplex, field, max_deg, bases):
+    def __init__(self, subcomplex, field, bases, boundary):
         self.subcomplex = subcomplex
         self.field = field
-        self.max_deg = max_deg
+        self.max_deg = len(bases) - 1
         self._bases = bases
+        self._boundary = boundary
         self._solvers = {}
 
     def dimension(self, n):
@@ -50,7 +56,7 @@ class GradedVectorSpace:
     def class_solver(self, n) -> SpanSolver:
         """Factorization of [basis_n | boundaries_n] for expressing cycles."""
         if n not in self._solvers:
-            bnd = _boundary_columns(self.subcomplex, n + 1, self.field)
+            bnd = self._boundary(n + 1)
             self._solvers[n] = SpanSolver(Matrix.hstack([self._bases[n], bnd]))
         return self._solvers[n]
 
@@ -94,13 +100,41 @@ def _boundary_columns(k, n, field) -> Matrix:
     return boundary_matrix(k, n, field)
 
 
-def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
-    """Homology of a (sub)complex with deterministic cycle bases.
+def chain_homology(counts, boundary, field, subcomplex) -> GradedVectorSpace:
+    """Homology in degrees 0..len(counts)-1 of the chain complex with
+    ``counts[n]`` cells in degree n and boundary matrices ``boundary(n)``
+    (``counts[n-1]`` rows, and no columns above the top degree); the
+    result keeps *subcomplex*, the complex itself.
 
     Degree-n dimension is dim ker boundary_n - rank boundary_{n+1}; the
     basis completes the boundary columns to the cycle space, pivoted left
-    to right, so recomputation yields identical matrices.
+    to right, so recomputation yields identical matrices.  Each boundary is
+    built once, for degree n's basis and then for degree n+1's cycles.
     """
+    bases = []
+    bnd = None  # boundary_n, when degree n-1 built it
+    for n, cn in enumerate(counts):
+        if cn == 0:
+            bases.append(Matrix.zeros(0, 0, field))
+            bnd = None
+            continue
+        if n == 0:
+            cycles = Matrix.identity(cn, field)
+        else:
+            cycles = kernel_basis(bnd if bnd is not None else boundary(n))
+        bnd = boundary(n + 1)
+        if bnd.cols == 0:
+            bases.append(cycles)
+            continue
+        _, piv = _eliminate(Matrix.hstack([bnd, cycles]))
+        chosen = [p - bnd.cols for p in piv if p >= bnd.cols]
+        bases.append(cycles.take_cols(chosen))
+    return GradedVectorSpace(subcomplex, field, bases, boundary)
+
+
+def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
+    """Homology of a (sub)complex with deterministic cycle bases, from
+    :func:`chain_homology` and memoized on the parent complex."""
     if isinstance(k, SimplicialComplex):
         k = k.full_handle()
     parent = k.parent
@@ -110,24 +144,8 @@ def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
     cached = parent._hom_cache.get(key)
     if cached is not None:
         return cached
-    bases = []
-    for n in range(max_deg + 1):
-        cn = len(k.simplex_ids.get(n, ()))
-        if cn == 0:
-            bases.append(Matrix.zeros(0, 0, field))
-            continue
-        if n == 0:
-            cycles = Matrix.identity(cn, field)
-        else:
-            cycles = kernel_basis(boundary_matrix(k, n, field))
-        bnd = _boundary_columns(k, n + 1, field)
-        if bnd.cols == 0:
-            bases.append(cycles)
-            continue
-        _, piv = _eliminate(Matrix.hstack([bnd, cycles]))
-        chosen = [p - bnd.cols for p in piv if p >= bnd.cols]
-        bases.append(cycles.take_cols(chosen))
-    gvs = GradedVectorSpace(k, field, max_deg, bases)
+    counts = [len(k.simplex_ids.get(n, ())) for n in range(max_deg + 1)]
+    gvs = chain_homology(counts, lambda n: _boundary_columns(k, n, field), field, k)
     parent._hom_cache[key] = gvs
     return gvs
 

@@ -41,6 +41,7 @@ class CellularCosheaf(CosheafData):
     they were taken from stay alongside for the witness layer.
     """
 
+    cover: Cover
     nerve: NerveComplex
     vertex_handles: dict
     vertex_values: dict
@@ -94,6 +95,7 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
         maps,
         field,
         max_deg,
+        cover=c,
         nerve=nv,
         vertex_handles=vertex_handles,
         vertex_values=vertex_values,

@@ -45,6 +45,20 @@ def test_parse_complex_errors(tmp_path):
     with pytest.raises(ParseError) as exc:
         parse_complex_file(write(tmp_path, "e.scx", "v 0 0\nv 1 1\ns 0 1\ns 1 0 1\n"))
     assert exc.value.line_no == 4 and "repeats a vertex" in str(exc.value)
+    # files that cannot be read, decoded or that declare no vertex
+    missing = str(tmp_path / "missing.scx")
+    binary = tmp_path / "g.scx"
+    binary.write_bytes(b"v 0 0\n# fine\nv 1 \xff\n")
+    for path, line_no, message in [
+        (missing, 0, "No such file or directory"),
+        (str(tmp_path), 0, "Is a directory"),
+        (str(binary), 3, "not UTF-8 text"),
+        (write(tmp_path, "h.scx", "# only\n\n# comments\n"), 0, "declares no vertex"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_complex_file(path)
+        assert exc.value.path == path and exc.value.line_no == line_no
+        assert message in str(exc.value)
 
 
 def test_parse_cover_explicit(tmp_path):
@@ -184,6 +198,33 @@ def test_cli_exit_code_validation(tmp_path, capsys):
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
     assert not (tmp_path / "y.json").exists()
+
+    # input files that cannot be read exit 3, output paths that cannot be
+    # written exit 2, each naming the path
+    comments = write(tmp_path, "comments.scx", "# only a comment\n")
+    latin = tmp_path / "latin.scx"
+    latin.write_bytes(b"v 0 \xff\n")
+    fine = ["--cover", str(ASSETS / "fine.cov")]
+    out = ["--out", str(tmp_path / "z.json")]
+    for path in (str(tmp_path / "missing.scx"), str(tmp_path), str(latin), comments):
+        for argv in (
+            ["build", "--complex", path, *fine, *out],
+            ["query", "--complex", path, *fine, "--interval", "0", "1"],
+            ["converge", "--complex", path],
+        ):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert f"{path}:" in captured.err and captured.out == ""
+    assert main(["build", *pair[:2], "--cover", str(tmp_path / "none.cov"), *out]) == 3
+    assert "none.cov:0" in capsys.readouterr().err
+    nowhere = str(tmp_path / "no" / "such" / "dir")
+    for argv in (
+        ["build", *pair, "--out", nowhere + ".json"],
+        ["build", *pair, *out, "--dot", nowhere + ".dot"],
+        ["converge", *pair[:2], "--levels", "1", "--samples", "2", "--csv", nowhere + ".csv"],
+    ):
+        assert main(argv) == 2
+        assert f"cannot write {nowhere}" in capsys.readouterr().err
 
 
 def test_cli_keeps_isolated_vertices(tmp_path, capsys):

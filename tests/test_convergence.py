@@ -192,6 +192,29 @@ def test_checks_take_the_max_deg_of_a_given_cosheaf(hexagon6):
         interleaving_check(x, f, FINE, samples=2, max_deg=0, d=d)
 
 
+def test_a_given_cosheaf_refuses_another_cover():
+    x, f = assets.hexagon_circle(4)
+    built_over = uniform_cover(3, "0.45", 0, 3)
+    d = build_cellular_leray(x, f, built_over)
+    other = Cover([OpenInterval(-1, "0.9"), OpenInterval("0.7", "2.5"),
+                   OpenInterval("2.2", 4)])
+    w = OpenInterval(-1, 4)
+    with pytest.raises(ValueError, match="cover"):
+        interleaving_check(x, f, other, samples=6, seed=1, d=d)
+    with pytest.raises(ValueError, match="cover"):
+        verify_commuting_square(x, f, other, V_PROBE, w, d=d)
+    with pytest.raises(ValueError, match="cover"):
+        continuous_extension(d, other, V_PROBE)
+    with pytest.raises(ValueError, match="cover"):
+        extension_map(d, other, V_PROBE, w)
+    with pytest.raises(ValueError, match="cover"):
+        mv_isomorphism(x, f, other, d, d.full_subnerve())
+    # an equal cover that is another object is the same cover
+    same = uniform_cover(3, "0.45", 0, 3)
+    assert interleaving_check(x, f, same, samples=6, seed=1, d=d).verdict
+    assert verify_commuting_square(x, f, same, V_PROBE, w, d=d).ok
+
+
 def test_extension_dims_agree_over_gf2_and_q():
     # the two fields run through different reducers, and these inputs are
     # torsion-free, so equal dims are an independent cross-check

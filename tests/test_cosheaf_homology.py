@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from decomap import assets
 from decomap.cosheaf_homology import (
     CosheafChainComplex,
     CosheafData,
@@ -10,10 +11,11 @@ from decomap.cosheaf_homology import (
     homology_of_restriction,
     induced_cosheaf_map,
 )
-from decomap.exactlinalg import GF2, QQ, Matrix, rank
+from decomap.exactlinalg import GF2, QQ, Matrix, kernel_basis, rank
 from decomap.homology import NestingViolation
-from decomap.interval_cover import Cover, OpenInterval, nerve, sub_nerve
+from decomap.interval_cover import Cover, OpenInterval, nerve, sub_nerve, uniform_cover
 from decomap.leray_cosheaf import build_cellular_leray
+from instancegen import random_nested_pair, random_instance
 
 FINE = Cover([OpenInterval("-0.5", "1.2"), OpenInterval("0.8", "2.2"),
               OpenInterval("1.8", "3.5")])
@@ -96,8 +98,8 @@ def test_induced_identity_on_full(hexagon6):
     maps = induced_cosheaf_map(d, full, full)
     h = cosheaf_homology(d)
     for n, (h0, h1) in enumerate(maps):
-        assert h0 == Matrix.identity(h.degrees[n].h0_dim, GF2)
-        assert h1 == Matrix.identity(h.degrees[n].h1_dim, GF2)
+        assert h0 == Matrix.identity(h.degrees[n].dimension(0), GF2)
+        assert h1 == Matrix.identity(h.degrees[n].dimension(1), GF2)
 
 
 def test_induced_single_vertex_into_full(hexagon6):
@@ -164,3 +166,46 @@ def test_orientation_flip_preserves_dims_and_ranks(hexagon6):
         maps = induced_cosheaf_map(data, kv, full)
         profiles.append([(rank(h0), rank(h1)) for h0, h1 in maps])
     assert profiles[0] == profiles[1] == [(1, 0), (0, 0)]
+
+
+def test_engine_bases_on_cellular_cosheaves():
+    # the homology engine on each degree's complex of a Leray cosheaf and
+    # of its sub-nerve restrictions: basis coordinates are the identity,
+    # boundaries are zero classes, dims are counts minus the boundary rank,
+    # and the H1 basis is the kernel basis of the boundary.  instancegen's
+    # mapper graphs have no cycle, so a circle and a torus join them to
+    # give H1 in degrees 0 and 1.
+    rng = random.Random(23)
+    population = [(random_instance(rng, max_vertices=30), (GF2, QQ)[t % 2])
+                  for t in range(12)]
+    for x, f in (assets.hexagon_circle(2), assets.standing_torus(16, 8)):
+        cover = uniform_cover(3, "0.45", f.min_value(), f.max_value())
+        population += [((x, f, cover), GF2), ((x, f, cover), QQ)]
+    seen_h1 = set()
+    seen_relations = 0
+    for (x, f, cover), field in population:
+        d = build_cellular_leray(x, f, cover, field)
+        subs = [d.full_subnerve()]
+        for _ in range(3):
+            v, w = random_nested_pair(rng, f)
+            subs += [sub_nerve(cover, d.nerve, v), sub_nerve(cover, d.nerve, w)]
+        for k in subs:
+            hom = homology_of_restriction(d, k.vertices, k.edges)
+            for n, deg in enumerate(hom.degrees):
+                cc = CosheafChainComplex(d.restrict(k.vertices, k.edges), n)
+                bnd = cc.boundary
+                assert deg.subcomplex.boundary == bnd
+                r = rank(bnd)
+                assert deg.dims() == (cc.vertex_dim - r, cc.edge_dim - r)
+                assert deg.basis(1) == kernel_basis(bnd)
+                for j in (0, 1):
+                    basis = deg.basis(j)
+                    ident = Matrix.identity(basis.cols, field)
+                    assert deg.express_cycles(j, basis) == ident
+                coords = deg.express_cycles(0, bnd)
+                assert coords.shape == (deg.dimension(0), cc.edge_dim)
+                assert coords.is_zero()
+                if deg.dimension(1):
+                    seen_h1.add(n)
+                seen_relations += r > 0 and deg.dimension(0) > 0
+    assert seen_h1 == {0, 1} and seen_relations

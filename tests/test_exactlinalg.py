@@ -13,7 +13,6 @@ from decomap.exactlinalg import (
     NotInSpan,
     SpanSolver,
     _rref_q,
-    cokernel_basis,
     invert,
     kernel_basis,
     rank,
@@ -80,25 +79,6 @@ def test_solve_gf2_two_generators():
     assert gens @ coeffs == target
 
 
-def test_cokernel_full_subspace():
-    reps, proj = cokernel_basis(Matrix.identity(3, GF2), 3)
-    assert reps.cols == 0 and proj.rows == 0
-
-
-def test_cokernel_zero_subspace():
-    reps, proj = cokernel_basis(Matrix.zeros(3, 0, QQ), 3)
-    assert reps == Matrix.identity(3, QQ)
-    assert proj == Matrix.identity(3, QQ)
-
-
-def test_cokernel_diagonal_line_gf2():
-    sub = Matrix.from_rows([[1], [1]], GF2)
-    reps, proj = cokernel_basis(sub, 2)
-    assert reps.cols == 1
-    assert (proj @ sub).is_zero()
-    assert proj @ reps == Matrix.identity(1, GF2)
-
-
 def test_invert():
     m = Matrix.from_rows([[1, 1], [0, 1]], GF2)
     assert m @ invert(m) == Matrix.identity(2, GF2)
@@ -156,19 +136,6 @@ def test_kernel_columns_annihilated(m):
     k = kernel_basis(m)
     if m.rows and k.cols:
         assert (m @ k).is_zero()
-
-
-@given(matrices())
-@settings(max_examples=80, deadline=None)
-def test_cokernel_projection_rank(m):
-    if m.rows == 0:
-        return
-    reps, proj = cokernel_basis(m, m.rows)
-    assert rank(proj) == m.rows - rank(m)
-    if m.cols:
-        assert (proj @ m).is_zero()
-    if reps.cols:
-        assert proj @ reps == Matrix.identity(reps.cols, m.field)
 
 
 @given(matrices())

@@ -162,3 +162,20 @@ def test_degree_zero_only_mode(hexagon6):
     gvs = homology(x, GF2, max_deg=0)
     assert gvs.dims() == (1,)
     assert gvs.dimension(1) == 0  # above max_deg reads as zero, not absent
+
+
+def test_homology_builds_each_boundary_once(monkeypatch):
+    import decomap.homology as engine
+
+    x, _ = assets.standing_torus(8, 4)
+    built = []
+
+    def counting(k, n, field=GF2):
+        built.append((k.cache_key(), n, field))
+        return boundary_matrix(k, n, field)
+
+    monkeypatch.setattr(engine, "boundary_matrix", counting)
+    for field in (GF2, QQ):
+        assert homology(x, field).dims() == (1, 2, 1)
+    assert sorted(n for _, n, _ in built) == [1, 1, 2, 2]
+    assert len(set(built)) == len(built)

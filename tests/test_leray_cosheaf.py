@@ -114,8 +114,7 @@ def test_cellular_cosheaf_is_its_own_data(hexagon6):
             assert direct.h0_dims() == cached.h0_dims()
             assert direct.h1_dims() == cached.h1_dims()
             for a, b in zip(direct.degrees, cached.degrees):
-                assert a.h0_reps == b.h0_reps and a.h0_proj == b.h0_proj
-                assert a.h1_basis == b.h1_basis
+                assert a.basis(0) == b.basis(0) and a.basis(1) == b.basis(1)
 
 
 def test_decorated_mapper_hexagon_four_cycle(hexagon6):
