@@ -20,8 +20,12 @@ Three layers of machinery:
   exactly.  ``convergence_table`` sweeps refined covers and counts where
   the extension still disagrees with the preimage oracle.
 
-Everything is exact; a failed equality is a real counterexample, not
-round-off.
+Every map here (extension map, MV witness, inclusion-induced map and the
+interleaving maps built from them) is a
+:class:`~decomap.homology.GradedLinearMap`, composed with ``@`` and
+compared with ``==`` degree by degree; maps between homologies come from
+:func:`~decomap.homology.induced_map`.  Everything is exact; a failed
+equality is a real counterexample, not round-off.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .cosheaf_homology import (
     homology_of_restriction,
     induced_cosheaf_map,
 )
-from .exactlinalg import GF2, Matrix, NotInSpan, SpanSolver, invert, rank
-from .homology import GradedVectorSpace, homology, induced_map, reindex_chains
+from .exactlinalg import GF2, Matrix, NotInSpan
+from .homology import GradedLinearMap, GradedVectorSpace, homology, induced_map
 from .interval_cover import (
     OpenInterval,
     SubNerve,
@@ -47,7 +51,7 @@ from .interval_cover import (
     union_support,
 )
 from .leray_cosheaf import CellularCosheaf, build_cellular_leray
-from .simplicial import boundary_matrix, preimage_of_union, preimage_subcomplex
+from .simplicial import preimage_of_union, preimage_subcomplex
 
 
 class NotNested(Exception):
@@ -103,20 +107,9 @@ def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> ExtensionVal
     return ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
 
 
-@dataclass
-class ExtensionMap:
-    """Degree-wise matrices C(V) -> C(W) for nested open intervals."""
-
-    source: ExtensionValue
-    target: ExtensionValue
-    matrices: list
-
-    def matrix(self, n) -> Matrix:
-        return self.matrices[n]
-
-
-def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> ExtensionMap:
-    """Block-diagonal assembly of the induced cosheaf maps for V inside W."""
+def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> GradedLinearMap:
+    """C(V) -> C(W) for V inside W: block-diagonal assembly of the induced
+    cosheaf maps, H0 of degree n beside H1 of degree n-1."""
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} is not contained in {w}")
     _check_cover(d, c)
@@ -136,7 +129,7 @@ def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> Ex
             h0.rows + h1.rows, h0.cols + h1.cols,
             [(0, 0, h0), (h0.rows, h0.cols, h1)], d.field,
         ))
-    return ExtensionMap(src, tgt, mats)
+    return GradedLinearMap(src, tgt, mats)
 
 
 def union_preimage(x, f, c, k_v: SubNerve):
@@ -149,47 +142,16 @@ def oracle_union_homology(x, f, c, k_v: SubNerve, field=GF2, max_deg=None) -> Gr
     return homology(union_preimage(x, f, c, k_v), field, max_deg)
 
 
-class MVWitness:
-    """Explicit per-degree isomorphism from an extension value onto the
-    homology of the union preimage."""
-
-    def __init__(self, source: ExtensionValue, target: GradedVectorSpace, matrices):
-        self.source = source
-        self.target = target
-        self.matrices = matrices
-        self._inverses = [None] * len(matrices)
-
-    def matrix(self, n) -> Matrix:
-        return self.matrices[n]
-
-    def inverse(self, n) -> Matrix:
-        if self._inverses[n] is None:
-            self._inverses[n] = invert(self.matrices[n])
-        return self._inverses[n]
-
-    def is_isomorphism(self, n):
-        m = self.matrices[n]
-        return m.rows == m.cols and rank(m) == m.rows
-
-
-def _vertex_chain_solver(d: CellularCosheaf, i, n) -> SpanSolver:
-    """Cached factorization of the degree-n boundary of a vertex preimage."""
-    key = (i, n)
-    if key not in d.chain_solvers:
-        d.chain_solvers[key] = SpanSolver(
-            boundary_matrix(d.vertex_handles[i], n, d.field)
-        )
-    return d.chain_solvers[key]
-
-
-def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
-    """Assemble the Mayer-Vietoris isomorphism witness over K_V.
+def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMap:
+    """The Mayer-Vietoris isomorphism from the extension value over K_V onto
+    the homology of the union preimage, one matrix per degree.
 
     The H0 part includes each vertex-block homology class into the union;
     the H1 part lifts a kernel element to cycle chains on the overlaps,
     bounds its pushforward inside each vertex preimage (an exact solve;
     admissibility guarantees solvability), and glues the results into a
-    cycle of the union.
+    cycle of the union.  Both parts are chains of the union, expressed in
+    its homology basis together.
     """
     _check_cover(d, c)
     key = (k_v.vertices, k_v.edges)
@@ -199,46 +161,61 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> MVWitness:
     big = union_preimage(x, f, c, k_v)
     target = homology(big, d.field, d.max_deg)
     source = ExtensionValue(c, k_v, hom, d.field, d.max_deg)
-    into_union = {i: induced_map(d.vertex_values[i], target) for i in k_v.vertices}
     mats = []
     for n in range(d.max_deg + 1):
         deg = hom.degrees[n]
-        # H0 part: vertex-block classes included into the union
-        h0 = Matrix.zeros(target.dimension(n), deg.dimension(0), d.field)
+        # H0 part: vertex-block classes, as chains of the union
+        chains = Matrix.zeros(len(big.simplex_ids.get(n, ())), deg.dimension(0), d.field)
         for i, rows in deg.subcomplex.cells[0].items():
-            if rows and h0.cols:
-                h0 = h0 + into_union[i].matrix(n) @ deg.basis(0).take_rows(rows)
-        cols = [h0]
-        # H1 part: zig-zag section from cosheaf degree n-1 kernel classes
+            if rows and deg.dimension(0):
+                basis = big.reindex(d.vertex_values[i].basis(n), d.vertex_handles[i], n)
+                chains = chains + basis @ deg.basis(0).take_rows(rows)
+        # H1 part, beside it: zig-zag cycles of cosheaf degree n-1's classes
         if n >= 1 and hom.degrees[n - 1].dimension(1):
-            prev = hom.degrees[n - 1]
-            ker = prev.basis(1)
-            per_vertex = {}
-            for e, rows in prev.subcomplex.cells[1].items():
-                if not rows:
-                    continue
-                z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
-                # the boundary of the edge (a, b) is b - a
-                for i, zi in zip(e, (-z, z)):
-                    zi = reindex_chains(zi, d.edge_handles[e], d.vertex_handles[i], n - 1)
-                    per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
-            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
-            for i, y in per_vertex.items():
-                if y.is_zero():
-                    continue
-                try:
-                    ci = _vertex_chain_solver(d, i, n).solve(y)
-                except NotInSpan as exc:
-                    raise SolveFailure(
-                        "Mayer-Vietoris exactness failed; admissibility was"
-                        " supposed to rule this out"
-                    ) from exc
-                glued = glued + reindex_chains(ci, d.vertex_handles[i], big, n)
-            cols.append(target.express_cycles(n, glued))
-        mats.append(Matrix.hstack(cols))
-    witness = MVWitness(source, target, mats)
+            chains = Matrix.hstack([chains, _zig_zag(d, hom.degrees[n - 1], big, n)])
+        if target.dimension(n) and chains.cols:
+            mats.append(target.express_cycles(n, chains))
+        else:
+            mats.append(Matrix.zeros(target.dimension(n), chains.cols, d.field))
+    witness = GradedLinearMap(source, target, mats)
     d.witness_cache[key] = witness
     return witness
+
+
+def _zig_zag(d: CellularCosheaf, prev: GradedVectorSpace, big, n) -> Matrix:
+    """n-cycles of the union, one per H1 class of the cosheaf's degree n-1
+    complex *prev*: each vertex bounds its share of the class's overlap
+    cycles, and the bounding chains glue."""
+    ker = prev.basis(1)
+    per_vertex = {}
+    for e, rows in prev.subcomplex.cells[1].items():
+        if not rows:
+            continue
+        z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
+        # the boundary of the edge (a, b) is b - a
+        for i, zi in zip(e, (-z, z)):
+            zi = d.vertex_handles[i].reindex(zi, d.edge_handles[e], n - 1)
+            per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
+    glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
+    for i, y in per_vertex.items():
+        if y.is_zero():
+            continue
+        # [basis | boundary] of the vertex preimage: a boundary has no
+        # basis part, and its boundary part is the bounding chain
+        space = d.vertex_values[i]
+        classes = space.dimension(n - 1)
+        try:
+            coeffs = space.class_solver(n - 1).solve(y)
+            if not coeffs.take_rows(range(classes)).is_zero():
+                raise NotInSpan("a cycle that is not a boundary")
+        except NotInSpan as exc:
+            raise SolveFailure(
+                "Mayer-Vietoris exactness failed; admissibility was"
+                " supposed to rule this out"
+            ) from exc
+        ci = coeffs.take_rows(range(classes, coeffs.rows))
+        glued = glued + big.reindex(ci, d.vertex_handles[i], n)
+    return glued
 
 
 @dataclass
@@ -303,21 +280,19 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     wit_w = mv_isomorphism(x, f, c, d, k_w)
     left = extension_map(d, c, v, w)
     right = induced_map(wit_v.target, wit_w.target)
-    rows = []
-    for n in range(d.max_deg + 1):
-        lhs = wit_w.matrix(n) @ left.matrix(n)
-        rhs = right.matrix(n) @ wit_v.matrix(n)
-        rows.append(
-            SquareDegreeReport(
-                degree=n,
-                extension_dim=left.source.dimension(n),
-                oracle_dim=wit_v.target.dimension(n),
-                left_rank=rank(left.matrix(n)),
-                right_rank=right.rank(n),
-                witnesses_iso=wit_v.is_isomorphism(n) and wit_w.is_isomorphism(n),
-                commutes=lhs == rhs,
-            )
+    lhs, rhs = wit_w @ left, right @ wit_v
+    rows = [
+        SquareDegreeReport(
+            degree=n,
+            extension_dim=left.source.dimension(n),
+            oracle_dim=wit_v.target.dimension(n),
+            left_rank=left.rank(n),
+            right_rank=right.rank(n),
+            witnesses_iso=wit_v.is_isomorphism(n) and wit_w.is_isomorphism(n),
+            commutes=lhs.matrix(n) == rhs.matrix(n),
         )
+        for n in range(d.max_deg + 1)
+    ]
     return CommutingSquareReport(v, w, rows)
 
 
@@ -420,11 +395,11 @@ def _pieces_contained(small_pieces, big_pieces):
     )
 
 
-def _phi(d, witness, pre_handle):
+def _phi(d, witness, pre_handle) -> GradedLinearMap:
     """L(V) -> C(V): include the preimage into the union, then invert MV."""
-    small = homology(pre_handle, d.field, d.max_deg)
-    inc = induced_map(small, witness.target)
-    return [witness.inverse(n) @ inc.matrix(n) for n in range(d.max_deg + 1)]
+    inc = induced_map(homology(pre_handle, d.field, d.max_deg), witness.target)
+    back = [witness.inverse(n) for n in range(d.max_deg + 1)]
+    return GradedLinearMap(witness.target, witness.source, back) @ inc
 
 
 def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
@@ -468,16 +443,9 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
         l_e = homology(pre_e, d.field, d.max_deg)
         phi_v = _phi(d, wit_v, pre_v)
         phi_e = _phi(d, wit_e, pre_e)
-        push = induced_map(wit_v.target, l_e)
-        psi_v = [push.matrix(n) @ wit_v.matrix(n) for n in range(d.max_deg + 1)]
-        direct = induced_map(l_v, l_e)
-        ext = extension_map(d, c, v, v_eps)
-        t1 = all(
-            psi_v[n] @ phi_v[n] == direct.matrix(n) for n in range(d.max_deg + 1)
-        )
-        t2 = all(
-            phi_e[n] @ psi_v[n] == ext.matrix(n) for n in range(d.max_deg + 1)
-        )
+        psi_v = induced_map(wit_v.target, l_e) @ wit_v
+        t1 = psi_v @ phi_v == induced_map(l_v, l_e)
+        t2 = phi_e @ psi_v == extension_map(d, c, v, v_eps)
         checks.append(SampleCheck(v, containment, t1, t2))
     return InterleavingReport(eps, checks)
 

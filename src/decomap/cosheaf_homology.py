@@ -5,14 +5,16 @@ graph together with extension maps from each edge value into its two
 endpoint values.  Per degree, the chain complex is a single block matrix
 from the edge-block to the vertex-block, and its homology (H0 in degree
 0, H1 in degree 1) comes from the engine of :mod:`decomap.homology`, as
-for any other chain complex; this module only assembles the blocks.
+for any other chain complex, and so do the maps a restriction induces
+(:func:`~decomap.homology.induced_map`, through the complex's ``contains``
+and ``reindex``); this module only assembles the blocks.
 
 Every function reads a :class:`CosheafData`: the cellular Leray cosheaf
 of :mod:`decomap.leray_cosheaf` is one, and so is any hand-built cosheaf
-such as :func:`constant_cosheaf`, so they apply to any graph — not only
-nerves of interval covers (whose nerves are disjoint unions of paths and
-never have cycles).  The boundary of an edge ``(u, v)`` is its image in
-v minus its image in u.
+such as :func:`constant_cosheaf`, so they apply to any graph without
+loops or repeated edges — not only nerves of interval covers (whose
+nerves are disjoint unions of paths and never have cycles).  The
+boundary of an edge ``(u, v)`` is its image in v minus its image in u.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .exactlinalg import GF2, Matrix
-from .homology import GradedVectorSpace, NestingViolation, chain_homology
+from .homology import GradedVectorSpace, NestingViolation, chain_homology, induced_map
 
 
 @dataclass
@@ -38,6 +40,16 @@ class CosheafData:
     field: str
     max_deg: int
     _cache: dict = dc_field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        """Reject a graph the blocks cannot hold: every edge joins two
+        distinct vertices of this cosheaf and is listed once."""
+        vset = set(self.vertices)
+        for e in self.edges:
+            if len(e) != 2 or e[0] == e[1] or not vset.issuperset(e):
+                raise ValueError(f"edge {e} does not join two distinct vertices of the cosheaf")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("an edge is listed more than once")
 
     def members(self, vertices, edges):
         """The given vertices and edges as tuples in this cosheaf's order;
@@ -117,12 +129,19 @@ class CosheafChainComplex:
             self.counts, lambda n: self.boundary if n == 1 else above, self.field, self
         )
 
-    def reindex(self, chains: Matrix, small: CosheafChainComplex, k) -> Matrix:
-        """Degree-k chain columns of *small*, the complex of a restriction,
+    def contains(self, other):
+        """True when *other*, the complex of a restriction, has only cells
+        of this one, in the same degree."""
+        return other.degree == self.degree and all(
+            mine.keys() >= theirs.keys() for mine, theirs in zip(self.cells, other.cells)
+        )
+
+    def reindex(self, chains: Matrix, small: CosheafChainComplex, n) -> Matrix:
+        """Degree-n chain columns of *small*, the complex of a restriction,
         rewritten in this complex's coordinates."""
-        at = [t for cell, rows in small.cells[k].items() for t in self.cells[k][cell]]
+        at = [t for cell in small.cells[n] for t in self.cells[n][cell]]
         return Matrix.from_blocks(
-            self.counts[k], chains.cols, [(at, 0, chains)], self.field
+            self.counts[n], chains.cols, [(at, 0, chains)], self.field
         )
 
 
@@ -179,28 +198,15 @@ def homology_of_restriction(full: CosheafData, vertices, edges) -> CosheafHomolo
     return got
 
 
-def _class_map(s: GradedVectorSpace, b: GradedVectorSpace, k) -> Matrix:
-    """Degree-k classes of *s* zero-extended into *b*'s complex, in *b*'s basis."""
-    if s.dimension(k) == 0 or b.dimension(k) == 0:
-        return Matrix.zeros(b.dimension(k), s.dimension(k), b.field)
-    chains = b.subcomplex.reindex(s.basis(k), s.subcomplex, k)
-    return b.express_cycles(k, chains)
-
-
 def induced_cosheaf_map(data: CosheafData, k_small, k_big):
     """Maps on cosheaf homology induced by an inclusion of subgraphs.
 
     *k_small* and *k_big* carry ``vertices`` and ``edges`` (a
     :class:`~decomap.interval_cover.SubNerve`, say).  Returns one
-    ``(h0_matrix, h1_matrix)`` pair per degree: the basis chains of the
-    small homology, zero-extended and re-expressed in the big basis.
+    ``(h0_matrix, h1_matrix)`` pair per degree, from :func:`induced_map`
+    on that degree's complexes; ``NestingViolation`` unless the small
+    subgraph is inside the big one.
     """
-    if not (set(k_small.vertices) <= set(k_big.vertices)
-            and set(k_small.edges) <= set(k_big.edges)):
-        raise NestingViolation("the small subgraph is not inside the big one")
     small = homology_of_restriction(data, k_small.vertices, k_small.edges)
     big = homology_of_restriction(data, k_big.vertices, k_big.edges)
-    return [
-        (_class_map(s, b, 0), _class_map(s, b, 1))
-        for s, b in zip(small.degrees, big.degrees)
-    ]
+    return [tuple(induced_map(s, b).matrices) for s, b in zip(small.degrees, big.degrees)]

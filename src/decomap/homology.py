@@ -8,12 +8,14 @@ exactly; :meth:`GradedVectorSpace.express_cycles` gives class coordinates.
 :func:`homology` adapts it to simplicial (sub)complexes and memoizes the
 result on the parent complex keyed by the selected simplex set, since the
 same slice tends to be requested many times; the cosheaf complexes of
-:mod:`decomap.cosheaf_homology` call it directly.
+:mod:`decomap.cosheaf_homology` call it directly.  :func:`induced_map` is
+the one routine for maps on homology, simplicial or cosheaf, and
+:class:`GradedLinearMap` the one type that holds them.
 """
 
 from __future__ import annotations
 
-from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, kernel_basis, rank
+from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, invert, kernel_basis, rank
 from .simplicial import SimplicialComplex, boundary_matrix
 
 
@@ -67,12 +69,14 @@ class GradedVectorSpace:
 
 
 class GradedLinearMap:
-    """Degree-wise matrices between two graded spaces, composable exactly."""
+    """Degree-wise matrices between two graded spaces, composable exactly:
+    ``g @ f`` composes degree by degree and ``==`` compares every degree."""
 
     def __init__(self, source, target, matrices):
         self.source = source
         self.target = target
         self.matrices = list(matrices)
+        self._inverses = {}
 
     def matrix(self, n) -> Matrix:
         return self.matrices[n]
@@ -83,6 +87,22 @@ class GradedLinearMap:
 
     def rank(self, n):
         return rank(self.matrices[n])
+
+    def inverse(self, n) -> Matrix:
+        """Exact inverse of the degree-n matrix, computed once."""
+        if n not in self._inverses:
+            self._inverses[n] = invert(self.matrices[n])
+        return self._inverses[n]
+
+    def is_isomorphism(self, n):
+        m = self.matrices[n]
+        return m.rows == m.cols and rank(m) == m.rows
+
+    def __matmul__(self, other):
+        return GradedLinearMap(
+            other.source, self.target,
+            [a @ b for a, b in zip(self.matrices, other.matrices, strict=True)],
+        )
 
     def __eq__(self, other):
         return (
@@ -150,20 +170,14 @@ def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
     return gvs
 
 
-def reindex_chains(chains: Matrix, small, big, dim) -> Matrix:
-    """Rewrite chain columns from a handle's coordinates into a superhandle's."""
-    big_local = {pi: t for t, pi in enumerate(big.simplex_ids.get(dim, ()))}
-    at_rows = [big_local[pi] for pi in small.simplex_ids.get(dim, ())]
-    return Matrix.from_blocks(
-        len(big_local), chains.cols, [(at_rows, 0, chains)], chains.field
-    )
-
-
 def induced_map(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedLinearMap:
-    """Map on homology induced by the inclusion of a's subcomplex into b's."""
+    """Map on homology induced by the inclusion of a's complex into b's: the
+    basis cycles of *a*, zero-extended by ``b.subcomplex.reindex``, in the
+    class coordinates of *b*.  Both complexes are simplicial handles, or
+    both are a cosheaf's chain complexes in one degree."""
     if a.field != b.field:
         raise ShapeMismatch("field mismatch")
-    if not b.subcomplex.contains_handle(a.subcomplex):
+    if not b.subcomplex.contains(a.subcomplex):
         raise NestingViolation("source subcomplex is not contained in the target")
     deg = min(a.max_deg, b.max_deg)
     mats = []
@@ -173,7 +187,6 @@ def induced_map(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedLinearMap:
         if src_dim == 0 or tgt_dim == 0:
             mats.append(Matrix.zeros(tgt_dim, src_dim, a.field))
             continue
-        chains = reindex_chains(a.basis(n), a.subcomplex, b.subcomplex, n)
+        chains = b.subcomplex.reindex(a.basis(n), a.subcomplex, n)
         mats.append(b.express_cycles(n, chains))
     return GradedLinearMap(a, b, mats)
-

@@ -47,8 +47,9 @@ class CellularCosheaf(CosheafData):
     vertex_values: dict
     edge_handles: dict
     edge_values: dict
-    # memoized by the convergence layer: MV witnesses per sub-nerve and
-    # boundary factorizations per (vertex, degree)
+    # MV witnesses per sub-nerve, memoized by the convergence layer;
+    # chain_solvers stays empty (the witnesses solve with the vertex
+    # values' class solvers) and is kept for the benchmark's cache resets
     witness_cache: dict = dc_field(default_factory=dict)
     chain_solvers: dict = dc_field(default_factory=dict)
 

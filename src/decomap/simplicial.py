@@ -121,7 +121,7 @@ class SubcomplexHandle:
             )
         return self._key
 
-    def contains_handle(self, other):
+    def contains(self, other):
         """True when *other* selects a subset of this handle's simplices."""
         if other.parent is not self.parent:
             return False
@@ -130,6 +130,13 @@ class SubcomplexHandle:
             if not mine.issuperset(ids):
                 return False
         return True
+
+    def reindex(self, chains, small, n) -> Matrix:
+        """Degree-n chain columns of *small*, a handle inside this one,
+        rewritten in this handle's coordinates."""
+        local = {pi: t for t, pi in enumerate(self.simplex_ids.get(n, ()))}
+        at_rows = [local[pi] for pi in small.simplex_ids.get(n, ())]
+        return Matrix.from_blocks(len(local), chains.cols, [(at_rows, 0, chains)], chains.field)
 
     def is_empty(self):
         return not self.simplex_ids

@@ -6,6 +6,7 @@ import pytest
 from decomap import assets
 from decomap.convergence import (
     NotNested,
+    SolveFailure,
     continuous_extension,
     convergence_table,
     extension_map,
@@ -17,11 +18,13 @@ from decomap.convergence import (
     union_preimage,
     verify_commuting_square,
 )
-from decomap.exactlinalg import GF2, QQ, Matrix, rank
-from decomap.homology import homology
+from decomap.cosheaf_homology import cosheaf_homology, homology_of_restriction
+from decomap.exactlinalg import GF2, QQ, Matrix, SpanSolver, rank
+from decomap.homology import homology, induced_map
 from decomap.interval_cover import Cover, OpenInterval, sub_nerve, thicken, uniform_cover
 from decomap.leray_cosheaf import build_cellular_leray
-from instancegen import random_instance, random_nested_pair
+from decomap.simplicial import boundary_matrix
+from instancegen import random_circle_instance, random_instance, random_nested_pair
 
 FINE = Cover([OpenInterval("-0.5", "1.2"), OpenInterval("0.8", "2.2"),
               OpenInterval("1.8", "3.5")])
@@ -122,6 +125,18 @@ def test_mv_witness_degree_one_fundamental_cycle(hexagon6):
     assert homology(big, GF2).basis(1) == Matrix.from_rows([[1]] * 6, GF2)
 
 
+def test_mv_witness_refuses_a_class_that_bounds_nothing(hexagon6):
+    # with the maps out of one overlap zeroed, the overlap's classes join
+    # the cosheaf's H1, but their chains are points, which bound nothing in
+    # a vertex preimage
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE)
+    e = d.edges[0]
+    d.maps[e] = tuple([Matrix.zeros(m.rows, m.cols, GF2) for m in mats] for mats in d.maps[e])
+    with pytest.raises(SolveFailure):
+        mv_isomorphism(x, f, FINE, d, d.full_subnerve())
+
+
 def test_commuting_square_trivial_and_probe(hexagon6):
     x, f = hexagon6
     assert verify_commuting_square(x, f, FINE, V_PROBE, V_PROBE).ok
@@ -136,6 +151,90 @@ def test_commuting_square_random_instances():
         x, f, cover = random_instance(rng, max_vertices=25)
         v, w = random_nested_pair(rng, f)
         assert verify_commuting_square(x, f, cover, v, w).ok
+
+
+def test_circle_instances_witness_h1_and_commute():
+    # every circle instance has cosheaf H1, so the zig-zag (H1) part of the
+    # witness runs on the full nerve and on every interval that holds the
+    # whole circle
+    rng = random.Random(31)
+    zig_zags = 0
+    for _ in range(8):
+        x, f, cover = random_circle_instance(rng)
+        everything = OpenInterval(f.min_value() - 1, f.max_value() + 1)
+        pairs = [random_nested_pair(rng, f) for _ in range(3)]
+        pairs += [(v, everything) for v, _ in pairs[:2]] + [(everything, everything)]
+        for field in (GF2, QQ):
+            d = build_cellular_leray(x, f, cover, field)
+            assert any(cosheaf_homology(d).h1_dims())
+            for v, w in pairs:
+                for k in (sub_nerve(cover, d.nerve, v), sub_nerve(cover, d.nerve, w)):
+                    wit = mv_isomorphism(x, f, cover, d, k)
+                    assert all(wit.is_isomorphism(n) for n in range(d.max_deg + 1))
+                    zig_zags += wit.source.hom.degrees[0].dimension(1) > 0
+                assert verify_commuting_square(x, f, cover, v, w, d=d).ok
+    assert zig_zags >= 16
+
+
+def reference_mv_matrices(x, f, c, d, k_v, solvers):
+    """The MV witness assembled independently of ``mv_isomorphism``: one
+    induced map per nerve vertex for the H0 part, and a solve against the
+    bare boundary of each vertex preimage (factorized once per vertex and
+    degree in *solvers*) for the zig-zag."""
+    hom = homology_of_restriction(d, k_v.vertices, k_v.edges)
+    big = union_preimage(x, f, c, k_v)
+    target = homology(big, d.field, d.max_deg)
+    mats = []
+    for n in range(d.max_deg + 1):
+        deg = hom.degrees[n]
+        h0 = Matrix.zeros(target.dimension(n), deg.dimension(0), d.field)
+        for i, rows in deg.subcomplex.cells[0].items():
+            if rows:
+                into_union = induced_map(d.vertex_values[i], target).matrix(n)
+                h0 = h0 + into_union @ deg.basis(0).take_rows(rows)
+        cols = [h0]
+        if n >= 1 and hom.degrees[n - 1].dimension(1):
+            prev = hom.degrees[n - 1]
+            ker = prev.basis(1)
+            per_vertex = {}
+            for e, rows in prev.subcomplex.cells[1].items():
+                z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
+                for i, zi in zip(e, (-z, z)):
+                    zi = d.vertex_handles[i].reindex(zi, d.edge_handles[e], n - 1)
+                    per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
+            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
+            for i, y in per_vertex.items():
+                if y.is_zero():
+                    continue
+                if (i, n) not in solvers:
+                    bnd = boundary_matrix(d.vertex_handles[i], n, d.field)
+                    solvers[i, n] = SpanSolver(bnd)
+                ci = solvers[i, n].solve(y)
+                glued = glued + big.reindex(ci, d.vertex_handles[i], n)
+            cols.append(target.express_cycles(n, glued))
+        mats.append(Matrix.hstack(cols))
+    return mats
+
+
+def test_mv_witness_matches_the_reference_assembly():
+    rng = random.Random(53)
+    population = [random_instance(rng) for _ in range(6)]
+    population += [random_circle_instance(rng) for _ in range(4)]
+    for x, f in (assets.hexagon_circle(4), assets.standing_torus(16, 8)):
+        population.append((x, f, uniform_cover(4, "0.45", 0, 3)))
+    zig_zags = 0
+    for x, f, cover in population:
+        for field in (GF2, QQ):
+            d = build_cellular_leray(x, f, cover, field)
+            subs = [d.full_subnerve()]
+            subs += [sub_nerve(cover, d.nerve, v) for v in sample_intervals(cover, 2, 1)]
+            solvers = {}
+            for k in subs:
+                ref = reference_mv_matrices(x, f, cover, d, k, solvers)
+                assert mv_isomorphism(x, f, cover, d, k).matrices == ref
+                hom = homology_of_restriction(d, k.vertices, k.edges)
+                zig_zags += any(deg.dimension(1) for deg in hom.degrees)
+    assert zig_zags >= 12
 
 
 def test_interleaving_single_element_cover(hexagon6):

@@ -61,6 +61,27 @@ def test_empty_cosheaf():
     assert CosheafChainComplex(d, 0).boundary.shape == (0, 0)
 
 
+def test_cosheaf_refuses_a_loop():
+    # a loop's two blocks would land on one vertex position and cancel,
+    # giving H0 (0,) and H1 (0,) where a loop has (1,) and (1,)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        constant_cosheaf(1, [(0, 0)])
+
+
+def test_cosheaf_refuses_a_repeated_edge():
+    with pytest.raises(ValueError, match="more than once"):
+        constant_cosheaf(2, [(0, 1), (0, 1)])
+
+
+def test_restriction_refuses_an_edge_off_its_vertices(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE)
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        homology_of_restriction(d, (0,), [(0, 1)])
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        d.restrict((0,), [(0, 1)])
+
+
 def test_constant_cosheaf_random_graph_oracle():
     rng = random.Random(7)
     for _ in range(100):

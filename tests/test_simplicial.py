@@ -176,7 +176,7 @@ def test_preimage_monotone_and_union(hexagon6):
         outer = OpenInterval(min(a, c), max(b, c) + 1)
         hi_ = preimage_subcomplex(x, f, inner)
         ho = preimage_subcomplex(x, f, outer)
-        assert ho.contains_handle(hi_)
+        assert ho.contains(hi_)
 
 
 def test_preimage_union_of_intervals(hexagon6):
