@@ -265,14 +265,6 @@ def _number_arg(option, tok):
         raise ValidationError(f"{option} needs a number, got {tok!r}")
 
 
-def _field_arg(name):
-    if name == "gf2":
-        return GF2
-    if name == "q":
-        return QQ
-    raise ValidationError(f"unknown field {name!r}")
-
-
 def _write_text(path, text):
     """Write *text* to *path*; a path that cannot be written is a
     ValidationError."""
@@ -294,7 +286,7 @@ def _load_pair(args):
 
 def cmd_build(args):
     x, f, cover = _load_pair(args)
-    g = build_decorated_mapper(x, f, cover, _field_arg(args.field), args.max_deg)
+    g = build_decorated_mapper(x, f, cover, args.field, args.max_deg)
     _write_text(args.out, emit_json(graph_to_json(g)))
     if args.dot:
         _write_text(args.dot, graph_to_dot(g))
@@ -305,10 +297,9 @@ def cmd_build(args):
 def cmd_query(args):
     v = OpenInterval(*(_number_arg("--interval", t) for t in args.interval))
     x, f, cover = _load_pair(args)
-    field = _field_arg(args.field)
-    d = build_cellular_leray(x, f, cover, field, args.max_deg)
+    d = build_cellular_leray(x, f, cover, args.field, args.max_deg)
     ext = continuous_extension(d, cover, v)
-    oracle = homology(preimage_subcomplex(x, f, v), field, d.max_deg)
+    oracle = homology(preimage_subcomplex(x, f, v), d.field, d.max_deg)
     cdims = list(ext.dims())
     odims = list(oracle.dims())
     flag = "MATCH" if cdims == odims else "MISMATCH"
@@ -326,8 +317,7 @@ def _at_least(option, value, least):
 def cmd_verify_prop(args):
     _at_least("--samples", args.samples, 0)
     x, f, cover = _load_pair(args)
-    field = _field_arg(args.field)
-    d = build_cellular_leray(x, f, cover, field, args.max_deg)
+    d = build_cellular_leray(x, f, cover, args.field, args.max_deg)
     lo, hi = f.min_value(), f.max_value()
     span = (hi - lo) if hi > lo else Fraction(1)
     outer = seeded_intervals(lo - span / 10, hi + span / 10, args.samples, args.seed)
@@ -340,7 +330,7 @@ def cmd_verify_prop(args):
             mid = (w.lo + w.hi) / 2
             lo_v, hi_v = (w.lo + mid) / 2, (mid + w.hi) / 2
         v = OpenInterval(lo_v, hi_v)
-        rep = verify_commuting_square(x, f, cover, v, w, field, d.max_deg, d=d)
+        rep = verify_commuting_square(x, f, cover, v, w, d=d)
         status = "PASS" if rep.ok else "FAIL"
         failures += not rep.ok
         print(f"{k:3d}  V={v}  W={w}  {status}")
@@ -357,10 +347,9 @@ def cmd_converge(args):
             f"{args.complex}: converge needs a complex of dimension at most 2,"
             f" not {x.max_dim}"
         )
-    field = _field_arg(args.field)
     table = convergence_table(
         x, f, args.base_n, _number_arg("--overlap", args.overlap), args.levels,
-        samples=args.samples, seed=args.seed, field=field, max_deg=args.max_deg,
+        samples=args.samples, seed=args.seed, field=args.field, max_deg=args.max_deg,
     )
     header = f"{'size':>5} {'resolution':>12} {'admissible':>10} {'samples':>8} {'mismatches':>11} {'interleaving':>12}"
     print(header)
@@ -410,7 +399,7 @@ def build_parser():
         sp.add_argument("--complex", required=True, help="complex file (v/s records)")
         if cover:
             sp.add_argument("--cover", required=True, help="cover file (i/uniform records)")
-        sp.add_argument("--field", default="gf2", choices=("gf2", "q"))
+        sp.add_argument("--field", default=GF2, choices=(GF2, QQ))
         sp.add_argument("--max-deg", type=int, default=None, dest="max_deg")
 
     sp = sub.add_parser("build", help="build the decorated mapper graph")

@@ -3,9 +3,13 @@
 Three layers of machinery:
 
 * ``continuous_extension`` evaluates the cosheaf's best guess for the
-  homology of a preimage over any open interval, via cosheaf homology of
-  the sub-nerve K_V with a degree shift (degree n uses cosheaf degree n
-  for H0 and degree n-1 for H1).
+  homology of a preimage over any open interval: the cosheaf homology
+  over the sub-nerve K_V (``sub_nerve(c, d, v)``; the cosheaf's own
+  vertices and edges are the nerve), the
+  :class:`~decomap.cosheaf_homology.CosheafHomology` cached on the
+  cosheaf, read in total degree (degree n holds cosheaf degree n's H0
+  beside degree n-1's H1).  The same object is the source of extension
+  maps and MV witnesses.
 
 * ``mv_isomorphism`` builds the explicit Mayer-Vietoris isomorphism from
   that guess onto the homology of the preimage of the union of the K_V
@@ -62,31 +66,6 @@ class SolveFailure(Exception):
     """Internal inconsistency: a chain that must be solvable was not."""
 
 
-class ExtensionValue:
-    """Graded value of the continuous extension at an open interval."""
-
-    def __init__(self, cover, k_v: SubNerve, hom: CosheafHomology, field, max_deg):
-        self.cover = cover
-        self.k_v = k_v
-        self.hom = hom
-        self.field = field
-        self.max_deg = max_deg
-
-    def dimension(self, n):
-        """dim H0 of cosheaf degree n plus dim H1 of cosheaf degree n-1."""
-        degrees = self.hom.degrees
-        h0 = degrees[n].dimension(0) if 0 <= n <= self.max_deg else 0
-        h1 = degrees[n - 1].dimension(1) if 1 <= n <= self.max_deg + 1 else 0
-        return h0 + h1
-
-    def dims(self):
-        return tuple(self.dimension(n) for n in range(self.max_deg + 1))
-
-
-def _restriction_hom(d: CellularCosheaf, k_v: SubNerve) -> CosheafHomology:
-    return homology_of_restriction(d, k_v.vertices, k_v.edges)
-
-
 def _check_cover(d: CellularCosheaf, c):
     """Raise ``ValueError`` unless *c* has the elements *d* was built over:
     sub-nerves of another cover name cells *d* does not have."""
@@ -97,14 +76,15 @@ def _check_cover(d: CellularCosheaf, c):
         )
 
 
-def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> ExtensionValue:
-    """Extension value at V: H0 of degree n plus H1 of degree n-1 over K_V.
+def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> CosheafHomology:
+    """Extension value at V: the cosheaf homology over K_V, cached on *d*,
+    whose total degree n is H0 of degree n plus H1 of degree n-1.
 
     *c* must be the cover *d* was built over (``ValueError`` otherwise).
     """
     _check_cover(d, c)
-    k_v = sub_nerve(c, d.nerve, v)
-    return ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
+    k_v = sub_nerve(c, d, v)
+    return homology_of_restriction(d, k_v.vertices, k_v.edges)
 
 
 def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> GradedLinearMap:
@@ -113,18 +93,14 @@ def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> Gr
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} is not contained in {w}")
     _check_cover(d, c)
-    k_v = sub_nerve(c, d.nerve, v)
-    k_w = sub_nerve(c, d.nerve, w)
+    k_v = sub_nerve(c, d, v)
+    k_w = sub_nerve(c, d, w)
     pairs = induced_cosheaf_map(d, k_v, k_w)
-    src = ExtensionValue(c, k_v, _restriction_hom(d, k_v), d.field, d.max_deg)
-    tgt = ExtensionValue(c, k_w, _restriction_hom(d, k_w), d.field, d.max_deg)
+    src, tgt = (homology_of_restriction(d, k.vertices, k.edges) for k in (k_v, k_w))
     mats = []
     for n in range(d.max_deg + 1):
         h0 = pairs[n][0]
-        if n >= 1:
-            h1 = pairs[n - 1][1]
-        else:
-            h1 = Matrix.zeros(0, 0, d.field)
+        h1 = pairs[n - 1][1] if n else Matrix.zeros(0, 0, d.field)
         mats.append(Matrix.from_blocks(
             h0.rows + h1.rows, h0.cols + h1.cols,
             [(0, 0, h0), (h0.rows, h0.cols, h1)], d.field,
@@ -157,10 +133,9 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMa
     key = (k_v.vertices, k_v.edges)
     if key in d.witness_cache:
         return d.witness_cache[key]
-    hom = _restriction_hom(d, k_v)
+    hom = homology_of_restriction(d, k_v.vertices, k_v.edges)
     big = union_preimage(x, f, c, k_v)
     target = homology(big, d.field, d.max_deg)
-    source = ExtensionValue(c, k_v, hom, d.field, d.max_deg)
     mats = []
     for n in range(d.max_deg + 1):
         deg = hom.degrees[n]
@@ -177,7 +152,7 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMa
             mats.append(target.express_cycles(n, chains))
         else:
             mats.append(Matrix.zeros(target.dimension(n), chains.cols, d.field))
-    witness = GradedLinearMap(source, target, mats)
+    witness = GradedLinearMap(hom, target, mats)
     d.witness_cache[key] = witness
     return witness
 
@@ -274,8 +249,8 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
     d = _cosheaf(x, f, c, field, max_deg, d)
-    k_v = sub_nerve(c, d.nerve, v)
-    k_w = sub_nerve(c, d.nerve, w)
+    k_v = sub_nerve(c, d, v)
+    k_w = sub_nerve(c, d, w)
     wit_v = mv_isomorphism(x, f, c, d, k_v)
     wit_w = mv_isomorphism(x, f, c, d, k_w)
     left = extension_map(d, c, v, w)
@@ -425,8 +400,8 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
     checks = []
     for v in sample_intervals(c, samples, seed):
         v_eps = thicken(v, eps)
-        k_v = sub_nerve(c, d.nerve, v)
-        k_e = sub_nerve(c, d.nerve, v_eps)
+        k_v = sub_nerve(c, d, v)
+        k_e = sub_nerve(c, d, v_eps)
         pieces_v = union_support(c, k_v)
         v_cap_support = [p for p in (v.intersect(s) for s in support) if p is not None]
         containment = _pieces_contained(v_cap_support, pieces_v) and all(

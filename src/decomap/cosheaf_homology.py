@@ -8,6 +8,9 @@ from the edge-block to the vertex-block, and its homology (H0 in degree
 for any other chain complex, and so do the maps a restriction induces
 (:func:`~decomap.homology.induced_map`, through the complex's ``contains``
 and ``reindex``); this module only assembles the blocks.
+:class:`CosheafHomology` holds every degree's homology and reads it in
+total degree too (H0 of cosheaf degree n beside H1 of degree n-1), which
+is how :mod:`decomap.convergence` uses it as the continuous extension.
 
 Every function reads a :class:`CosheafData`: the cellular Leray cosheaf
 of :mod:`decomap.leray_cosheaf` is one, and so is any hand-built cosheaf
@@ -157,15 +160,32 @@ def _rows_of(cells, dims, n):
 
 
 class CosheafHomology:
-    """Per-degree homology of a cosheaf on a graph: ``degrees[n]`` is the
-    homology of the degree-n chain complex, H0 in its degree 0 and H1 in
-    its degree 1."""
+    """Homology of a cosheaf on a graph, per cosheaf degree and in total
+    degree.
+
+    ``degrees[n]`` is the homology of the degree-n chain complex, H0 in its
+    degree 0 and H1 in its degree 1.  Total degree n holds H0 of cosheaf
+    degree n beside H1 of cosheaf degree n-1; :meth:`dimension` and
+    :meth:`dims` count it so, in degrees 0..max_deg.  Over the sub-nerve
+    K_V of a cellular Leray cosheaf, this is the value of the continuous
+    extension at V.
+    """
 
     def __init__(self, data: CosheafData):
         self.data = data
+        self.max_deg = data.max_deg
         self.degrees = [
             CosheafChainComplex(data, n).homology() for n in range(data.max_deg + 1)
         ]
+
+    def dimension(self, n):
+        """dim H0 of cosheaf degree n plus dim H1 of cosheaf degree n-1."""
+        h0 = self.degrees[n].dimension(0) if 0 <= n <= self.max_deg else 0
+        h1 = self.degrees[n - 1].dimension(1) if 1 <= n <= self.max_deg + 1 else 0
+        return h0 + h1
+
+    def dims(self):
+        return tuple(self.dimension(n) for n in range(self.max_deg + 1))
 
     def h0_dims(self):
         return tuple(d.dimension(0) for d in self.degrees)

@@ -8,10 +8,11 @@ anywhere, so matrix identities used by the test suites can be checked with
 ``==``.
 
 This module alone knows how a :class:`Matrix` is stored.  Other modules
-build matrices from signed entries (:meth:`Matrix.from_entries`) or placed
-blocks (:meth:`Matrix.from_blocks`), take rows and columns, and combine
-them with ``@``, ``+`` and ``-``; none of them reads the storage or does
-field-specific arithmetic.
+build matrices from rows (:meth:`Matrix.from_rows`, the one constructor
+that coerces outside values), signed entries (:meth:`Matrix.from_entries`)
+or placed blocks (:meth:`Matrix.from_blocks`), take rows and columns, and
+combine them with ``@``, ``+`` and unary ``-``; none of them reads the
+storage or does field-specific arithmetic.
 
 Rational matrices are stored dense but reduced and multiplied sparse: each
 row becomes a ``{col: value}`` dict of its nonzeros, integral values are
@@ -23,13 +24,15 @@ entry for entry.
 
 The pivot rule is fixed (leftmost eligible column, topmost nonzero row),
 which together with full reduction makes every result here — and every
-homology basis built on top — reproducible bit for bit.
+homology basis built on top — reproducible bit for bit.  :func:`rank` and
+:func:`kernel_basis` reduce the bare matrix; :class:`SpanSolver` alone
+appends an identity block, to record the change of basis that its solves
+(inverses included) apply.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,21 +89,6 @@ class Matrix:
 
     __slots__ = ("field", "data")
 
-    def __init__(self, data, field):
-        _check_field(field)
-        self.field = field
-        a = np.asarray(data)
-        if a.ndim != 2:
-            raise ValueError("Matrix needs 2-dimensional data")
-        if field == GF2:
-            self.data = np.ascontiguousarray(a.astype(np.uint8) & 1)
-        else:
-            out = np.empty(a.shape, dtype=object)
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    out[i, j] = _coerce_entry(a[i, j], QQ)
-            self.data = out
-
     @classmethod
     def _wrap(cls, raw, field):
         m = object.__new__(cls)
@@ -110,6 +98,8 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows, field):
+        """The matrix with the given rows, coerced exactly into *field*."""
+        _check_field(field)
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
@@ -203,9 +193,6 @@ class Matrix:
             return bool(np.array_equal(self.data, other.data))
         return all(a == b for a, b in zip(self.data.flat, other.data.flat))
 
-    def __hash__(self):  # pragma: no cover - Matrix is not meant for dict keys
-        raise TypeError("Matrix is unhashable")
-
     def __matmul__(self, other):
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -226,9 +213,6 @@ class Matrix:
         if self.field == GF2:
             return self.copy()
         return Matrix._wrap(-self.data, QQ)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __repr__(self):
         body = "; ".join(
@@ -251,12 +235,6 @@ def _span(at, n):
     """Indices of an n-long block placed at *at*: a start index, or the
     indices themselves."""
     return range(at, at + n) if isinstance(at, int) else list(at)
-
-
-class RowReduction(NamedTuple):
-    reduced: Matrix
-    basis_change: Matrix
-    pivot_columns: list
 
 
 def _q_rows(data):
@@ -333,30 +311,6 @@ def _q_matmul(a, b):
     return out
 
 
-def row_reduce(m: Matrix) -> RowReduction:
-    """Reduced row-echelon form with the accompanying change of basis.
-
-    ``basis_change @ m == reduced`` and ``pivot_columns`` is strictly
-    increasing.  RREF is unique, so ``reduced`` and the pivots do not depend
-    on the elimination order.  ``basis_change`` does when the rows of *m* are
-    dependent, but a solve of a target in the column span through it does
-    not.  Callers that never read ``basis_change`` use :func:`_eliminate`,
-    which skips the identity augmentation.
-    """
-    n = m.cols
-    aug = Matrix.hstack([m, Matrix.identity(m.rows, m.field)])
-    if m.field == GF2:
-        red, piv = gf2_rref(aug.data, n_pivot_cols=n)
-        reduced = Matrix._wrap(np.ascontiguousarray(red[:, :n]), GF2)
-        change = Matrix._wrap(np.ascontiguousarray(red[:, n:]), GF2)
-        return RowReduction(reduced, change, piv)
-    work = aug.data.copy()
-    piv = _rref_q(work, n)
-    reduced = Matrix._wrap(work[:, :n].copy(), QQ)
-    change = Matrix._wrap(work[:, n:].copy(), QQ)
-    return RowReduction(reduced, change, piv)
-
-
 def _eliminate(m: Matrix):
     """RREF of *m* alone, as ``(reduced raw array, pivot columns)``."""
     if m.field == GF2:
@@ -388,18 +342,22 @@ def kernel_basis(m: Matrix) -> Matrix:
 class SpanSolver:
     """Factorized view of a generator matrix for repeated span solves.
 
-    row_reduce is done once; each solve then costs a single matrix-vector
-    product.  Solutions fix all free variables to zero, so they are unique
-    functions of the target.
+    The one elimination beside an identity block: ``change @ generators``
+    is the RREF, with pivot columns ``pivots``.  Each solve then costs one
+    matrix product and sets every free variable to zero, so solutions are
+    unique functions of the target.
     """
 
     def __init__(self, generators: Matrix):
         self.generators = generators
-        red, change, piv = row_reduce(generators)
         self.field = generators.field
-        self.pivots = piv
-        self.change = change
-        self.n_rows = generators.rows
+        self.n_rows, n = generators.shape
+        aug = Matrix.hstack([generators, Matrix.identity(self.n_rows, self.field)]).data
+        if self.field == GF2:
+            aug, self.pivots = gf2_rref(aug, n_pivot_cols=n)
+        else:
+            self.pivots = _rref_q(aug, n)
+        self.change = Matrix._wrap(np.ascontiguousarray(aug[:, n:]), self.field)
 
     def solve(self, target: Matrix) -> Matrix:
         """Solve generators @ X = target column-wise; raises NotInSpan."""
@@ -418,13 +376,3 @@ class SpanSolver:
         for i, pc in enumerate(self.pivots):
             out.data[pc, :] = y.data[i, :]
         return out
-
-
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse of a square full-rank matrix."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    red, change, piv = row_reduce(m)
-    if len(piv) != m.cols:
-        raise NotInSpan("matrix is singular")
-    return change

@@ -15,7 +15,7 @@ the one routine for maps on homology, simplicial or cosheaf, and
 
 from __future__ import annotations
 
-from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, invert, kernel_basis, rank
+from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, kernel_basis, rank
 from .simplicial import SimplicialComplex, boundary_matrix
 
 
@@ -89,9 +89,14 @@ class GradedLinearMap:
         return rank(self.matrices[n])
 
     def inverse(self, n) -> Matrix:
-        """Exact inverse of the degree-n matrix, computed once."""
+        """Exact inverse of the degree-n matrix, computed once: the solve of
+        the identity.  ``ValueError`` unless the matrix is square, and
+        ``NotInSpan`` when it is singular."""
         if n not in self._inverses:
-            self._inverses[n] = invert(self.matrices[n])
+            m = self.matrices[n]
+            if m.rows != m.cols:
+                raise ValueError("only square matrices can be inverted")
+            self._inverses[n] = SpanSolver(m).solve(Matrix.identity(m.rows, m.field))
         return self._inverses[n]
 
     def is_isomorphism(self, n):

@@ -88,30 +88,17 @@ class Cover:
         return self.elements[i].intersect(self.elements[j])
 
 
-class NerveComplex:
-    """1-dimensional nerve: cover indices as vertices, overlaps as edges."""
-
-    def __init__(self, n_vertices, edges):
-        self.vertices = tuple(range(n_vertices))
-        self.edges = tuple(sorted(edges))
-
-    def __repr__(self):
-        return f"NerveComplex({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-
 class SubNerve:
-    """Face-closed subset of a nerve (the simplicial approximation of V)."""
+    """Vertices and edges of a cover's nerve (cover indices, and pairs of
+    overlapping ones), or of a face-closed part of it such as the
+    simplicial approximation K_V of an interval V."""
 
-    def __init__(self, nerve, vertices, edges):
-        self.nerve = nerve
+    def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(vertices))
         self.edges = tuple(sorted(edges))
 
-    def is_empty(self):
-        return not self.vertices
 
-
-def nerve(c: Cover) -> NerveComplex:
+def nerve(c: Cover) -> SubNerve:
     """Nerve of the cover; raises when any triple intersection is nonempty."""
     n = len(c)
     for i, j, k in combinations(range(n), 3):
@@ -122,7 +109,7 @@ def nerve(c: Cover) -> NerveComplex:
     edges = [
         (i, j) for i, j in combinations(range(n), 2) if c[i].overlaps(c[j])
     ]
-    return NerveComplex(n, edges)
+    return SubNerve(range(n), edges)
 
 
 def resolution(c: Cover) -> Fraction:
@@ -159,15 +146,17 @@ def uniform_cover(n, g, lo, hi) -> Cover:
     return Cover(elements)
 
 
-def sub_nerve(c: Cover, nv: NerveComplex, v: OpenInterval) -> SubNerve:
-    """Simplices of the nerve whose cover set meets the open interval V."""
+def sub_nerve(c: Cover, nv, v: OpenInterval) -> SubNerve:
+    """The simplices of *nv* (the nerve of *c*, or a cosheaf over it: any
+    object with ``vertices`` and ``edges``) whose cover set meets the open
+    interval V."""
     verts = [i for i in nv.vertices if c[i].overlaps(v)]
     edges = []
     for i, j in nv.edges:
         ov = c.edge_interval(i, j)
         if ov is not None and ov.overlaps(v):
             edges.append((i, j))
-    return SubNerve(nv, verts, edges)
+    return SubNerve(verts, edges)
 
 
 def merge_intervals(intervals):

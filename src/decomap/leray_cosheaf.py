@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from .cosheaf_homology import CosheafData
 from .exactlinalg import GF2
 from .homology import GradedLinearMap, GradedVectorSpace, homology, induced_map
-from .interval_cover import Cover, NerveComplex, SubNerve, admissible, nerve
+from .interval_cover import Cover, admissible, nerve
 from .simplicial import connected_components, preimage_subcomplex
 
 
@@ -38,11 +38,13 @@ class CellularCosheaf(CosheafData):
 
     The :class:`CosheafData` fields hold the dims and matrices that the
     cosheaf homology engine reads; the preimage handles and graded spaces
-    they were taken from stay alongside for the witness layer.
+    they were taken from stay alongside for the witness layer.  Its
+    ``vertices`` and ``edges`` are the nerve of ``cover``, so the cosheaf
+    stands for its nerve wherever a sub-nerve is read: ``sub_nerve(cover,
+    d, v)``, or *d* itself as the full one.
     """
 
     cover: Cover
-    nerve: NerveComplex
     vertex_handles: dict
     vertex_values: dict
     edge_handles: dict
@@ -60,9 +62,6 @@ class CellularCosheaf(CosheafData):
     def cosheaf_data(self) -> CosheafData:
         """This cosheaf, as the record the cosheaf homology engine reads."""
         return self
-
-    def full_subnerve(self) -> SubNerve:
-        return SubNerve(self.nerve, self.nerve.vertices, self.nerve.edges)
 
 
 def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCosheaf:
@@ -97,7 +96,6 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
         field,
         max_deg,
         cover=c,
-        nerve=nv,
         vertex_handles=vertex_handles,
         vertex_values=vertex_values,
         edge_handles=edge_handles,
@@ -143,7 +141,7 @@ def build_decorated_mapper(x, f, c: Cover, field=GF2, max_deg=None) -> Decorated
     d = build_cellular_leray(x, f, c, field, max_deg)
     nodes = []
     node_of_vertex = {}  # (cover index, complex vertex) -> node position
-    for i in d.nerve.vertices:
+    for i in d.vertices:
         comps = connected_components(d.vertex_handles[i])
         for ci, comp in enumerate(comps):
             pos = len(nodes)
@@ -157,7 +155,7 @@ def build_decorated_mapper(x, f, c: Cover, field=GF2, max_deg=None) -> Decorated
             for v in comp.vertices:
                 node_of_vertex[(i, v)] = pos
     edges = []
-    for (i, j) in d.nerve.edges:
+    for (i, j) in d.edges:
         comps = connected_components(d.edge_handles[(i, j)])
         for ci, comp in enumerate(comps):
             gvs = homology(comp, field, d.max_deg)

@@ -100,16 +100,9 @@ class SubcomplexHandle:
         self.simplex_ids = {d: tuple(ids) for d, ids in simplex_ids.items() if ids}
         self._key = None
 
-    @property
-    def dim(self):
-        return max(self.simplex_ids, default=-1)
-
     def n_simplices(self, dim):
         sims = self.parent.simplices.get(dim, ())
         return tuple(sims[i] for i in self.simplex_ids.get(dim, ()))
-
-    def counts(self):
-        return tuple(len(self.simplex_ids.get(d, ())) for d in range(self.dim + 1))
 
     def cache_key(self):
         """Stable identity of the selected simplices, for memoization."""
@@ -137,9 +130,6 @@ class SubcomplexHandle:
         local = {pi: t for t, pi in enumerate(self.simplex_ids.get(n, ()))}
         at_rows = [local[pi] for pi in small.simplex_ids.get(n, ())]
         return Matrix.from_blocks(len(local), chains.cols, [(at_rows, 0, chains)], chains.field)
-
-    def is_empty(self):
-        return not self.simplex_ids
 
 
 def build_complex(simplices, values):

@@ -94,18 +94,17 @@ def test_extension_map_composition(hexagon6):
 def test_oracle_union_homology(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    kv = sub_nerve(FINE, d.nerve, V_PROBE)
+    kv = sub_nerve(FINE, d, V_PROBE)
     assert oracle_union_homology(x, f, FINE, kv).dims() == (2, 0)
-    kfull = d.full_subnerve()
-    assert oracle_union_homology(x, f, FINE, kfull).dims() == (1, 1)
-    kempty = sub_nerve(FINE, d.nerve, OpenInterval(50, 51))
+    assert oracle_union_homology(x, f, FINE, d).dims() == (1, 1)
+    kempty = sub_nerve(FINE, d, OpenInterval(50, 51))
     assert oracle_union_homology(x, f, FINE, kempty).dims() == (0, 0)
 
 
 def test_mv_witness_single_vertex_is_plain_inclusion(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    kv = sub_nerve(FINE, d.nerve, V_PROBE)
+    kv = sub_nerve(FINE, d, V_PROBE)
     wit = mv_isomorphism(x, f, FINE, d, kv)
     assert all(wit.is_isomorphism(n) for n in range(d.max_deg + 1))
     assert wit.matrix(0).shape == (2, 2)
@@ -116,12 +115,11 @@ def test_mv_witness_degree_one_fundamental_cycle(hexagon6):
     # hexagon: expressed in the basis (sum of all six edges) it must be [1]
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    kfull = d.full_subnerve()
-    wit = mv_isomorphism(x, f, FINE, d, kfull)
+    wit = mv_isomorphism(x, f, FINE, d, d)
     assert wit.source.dims() == (1, 1)
     assert wit.matrix(1) == Matrix.from_rows([[1]], GF2)
     assert wit.is_isomorphism(1)
-    big = union_preimage(x, f, FINE, kfull)
+    big = union_preimage(x, f, FINE, d)
     assert homology(big, GF2).basis(1) == Matrix.from_rows([[1]] * 6, GF2)
 
 
@@ -134,7 +132,7 @@ def test_mv_witness_refuses_a_class_that_bounds_nothing(hexagon6):
     e = d.edges[0]
     d.maps[e] = tuple([Matrix.zeros(m.rows, m.cols, GF2) for m in mats] for mats in d.maps[e])
     with pytest.raises(SolveFailure):
-        mv_isomorphism(x, f, FINE, d, d.full_subnerve())
+        mv_isomorphism(x, f, FINE, d, d)
 
 
 def test_commuting_square_trivial_and_probe(hexagon6):
@@ -168,10 +166,10 @@ def test_circle_instances_witness_h1_and_commute():
             d = build_cellular_leray(x, f, cover, field)
             assert any(cosheaf_homology(d).h1_dims())
             for v, w in pairs:
-                for k in (sub_nerve(cover, d.nerve, v), sub_nerve(cover, d.nerve, w)):
+                for k in (sub_nerve(cover, d, v), sub_nerve(cover, d, w)):
                     wit = mv_isomorphism(x, f, cover, d, k)
                     assert all(wit.is_isomorphism(n) for n in range(d.max_deg + 1))
-                    zig_zags += wit.source.hom.degrees[0].dimension(1) > 0
+                    zig_zags += wit.source.degrees[0].dimension(1) > 0
                 assert verify_commuting_square(x, f, cover, v, w, d=d).ok
     assert zig_zags >= 16
 
@@ -226,8 +224,8 @@ def test_mv_witness_matches_the_reference_assembly():
     for x, f, cover in population:
         for field in (GF2, QQ):
             d = build_cellular_leray(x, f, cover, field)
-            subs = [d.full_subnerve()]
-            subs += [sub_nerve(cover, d.nerve, v) for v in sample_intervals(cover, 2, 1)]
+            subs = [d]
+            subs += [sub_nerve(cover, d, v) for v in sample_intervals(cover, 2, 1)]
             solvers = {}
             for k in subs:
                 ref = reference_mv_matrices(x, f, cover, d, k, solvers)
@@ -307,7 +305,7 @@ def test_a_given_cosheaf_refuses_another_cover():
     with pytest.raises(ValueError, match="cover"):
         extension_map(d, other, V_PROBE, w)
     with pytest.raises(ValueError, match="cover"):
-        mv_isomorphism(x, f, other, d, d.full_subnerve())
+        mv_isomorphism(x, f, other, d, d)
     # an equal cover that is another object is the same cover
     same = uniform_cover(3, "0.45", 0, 3)
     assert interleaving_check(x, f, same, samples=6, seed=1, d=d).verdict

@@ -13,7 +13,7 @@ from decomap.cosheaf_homology import (
 )
 from decomap.exactlinalg import GF2, QQ, Matrix, kernel_basis, rank
 from decomap.homology import NestingViolation
-from decomap.interval_cover import Cover, OpenInterval, nerve, sub_nerve, uniform_cover
+from decomap.interval_cover import Cover, OpenInterval, sub_nerve, uniform_cover
 from decomap.leray_cosheaf import build_cellular_leray
 from instancegen import random_nested_pair, random_instance
 
@@ -115,8 +115,7 @@ def test_euler_identity_per_degree(hexagon6):
 def test_induced_identity_on_full(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    full = d.full_subnerve()
-    maps = induced_cosheaf_map(d, full, full)
+    maps = induced_cosheaf_map(d, d, d)
     h = cosheaf_homology(d)
     for n, (h0, h1) in enumerate(maps):
         assert h0 == Matrix.identity(h.degrees[n].dimension(0), GF2)
@@ -126,9 +125,9 @@ def test_induced_identity_on_full(hexagon6):
 def test_induced_single_vertex_into_full(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    kv = sub_nerve(FINE, d.nerve, OpenInterval("1.3", "1.7"))
+    kv = sub_nerve(FINE, d, OpenInterval("1.3", "1.7"))
     assert kv.vertices == (1,)
-    maps = induced_cosheaf_map(d, kv, d.full_subnerve())
+    maps = induced_cosheaf_map(d, kv, d)
     h0, h1 = maps[0]
     assert h0.shape == (1, 2) and rank(h0) == 1
     assert h1.cols == 0
@@ -137,8 +136,8 @@ def test_induced_single_vertex_into_full(hexagon6):
 def test_induced_nesting_violation(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    kv = sub_nerve(FINE, d.nerve, OpenInterval("-0.4", "1.0"))
-    kw = sub_nerve(FINE, d.nerve, OpenInterval("1.9", "3.4"))
+    kv = sub_nerve(FINE, d, OpenInterval("-0.4", "1.0"))
+    kw = sub_nerve(FINE, d, OpenInterval("1.9", "3.4"))
     with pytest.raises(NestingViolation):
         induced_cosheaf_map(d, kv, kw)
 
@@ -156,9 +155,9 @@ def test_restriction_cache_ignores_member_order(hexagon6):
 def test_functoriality_over_triples(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    ku = sub_nerve(FINE, d.nerve, OpenInterval("1.3", "1.7"))
-    kv = sub_nerve(FINE, d.nerve, OpenInterval("0.9", "2.1"))
-    kw = d.full_subnerve()
+    ku = sub_nerve(FINE, d, OpenInterval("1.3", "1.7"))
+    kv = sub_nerve(FINE, d, OpenInterval("0.9", "2.1"))
+    kw = d
     direct = induced_cosheaf_map(d, ku, kw)
     uv = induced_cosheaf_map(d, ku, kv)
     vw = induced_cosheaf_map(d, kv, kw)
@@ -180,8 +179,8 @@ def test_orientation_flip_preserves_dims_and_ranks(hexagon6):
     minus = homology_of_restriction(flipped, flipped.vertices, flipped.edges)
     assert plus.h0_dims() == minus.h0_dims()
     assert plus.h1_dims() == minus.h1_dims()
-    kv = sub_nerve(FINE, d.nerve, OpenInterval("1.3", "1.7"))
-    full = d.full_subnerve()
+    kv = sub_nerve(FINE, d, OpenInterval("1.3", "1.7"))
+    full = d
     profiles = []
     for data in (d, flipped):
         maps = induced_cosheaf_map(data, kv, full)
@@ -206,10 +205,10 @@ def test_engine_bases_on_cellular_cosheaves():
     seen_relations = 0
     for (x, f, cover), field in population:
         d = build_cellular_leray(x, f, cover, field)
-        subs = [d.full_subnerve()]
+        subs = [d]
         for _ in range(3):
             v, w = random_nested_pair(rng, f)
-            subs += [sub_nerve(cover, d.nerve, v), sub_nerve(cover, d.nerve, w)]
+            subs += [sub_nerve(cover, d, v), sub_nerve(cover, d, w)]
         for k in subs:
             hom = homology_of_restriction(d, k.vertices, k.edges)
             for n, deg in enumerate(hom.degrees):

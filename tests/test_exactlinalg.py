@@ -13,35 +13,31 @@ from decomap.exactlinalg import (
     NotInSpan,
     SpanSolver,
     _rref_q,
-    invert,
     kernel_basis,
     rank,
-    row_reduce,
 )
-from decomap.homology import homology
+from decomap.homology import GradedLinearMap, homology
+from test_gf2kernel import dense_rref
 
 
 def test_row_reduce_identity():
     m = Matrix.identity(2, GF2)
-    red, change, piv = row_reduce(m)
-    assert red == m and piv == [0, 1]
-    assert change @ m == red
+    s = SpanSolver(m)
+    assert s.pivots == [0, 1] and s.change @ m == m
 
 
 def test_row_reduce_rank_one_gf2():
     m = Matrix.from_rows([[1, 1], [1, 1]], GF2)
-    red, change, piv = row_reduce(m)
-    assert red == Matrix.from_rows([[1, 1], [0, 0]], GF2)
-    assert piv == [0]
-    assert change @ m == red
+    s = SpanSolver(m)
+    assert s.pivots == [0]
+    assert s.change @ m == Matrix.from_rows([[1, 1], [0, 0]], GF2)
 
 
 def test_row_reduce_proportional_rows_q():
     m = Matrix.from_rows([[2, 4], [1, 2]], QQ)
-    red, change, piv = row_reduce(m)
-    assert red == Matrix.from_rows([[1, 2], [0, 0]], QQ)
-    assert piv == [0]
-    assert change @ m == red
+    s = SpanSolver(m)
+    assert s.pivots == [0]
+    assert s.change @ m == Matrix.from_rows([[1, 2], [0, 0]], QQ)
 
 
 def test_rank_basics():
@@ -81,19 +77,26 @@ def test_solve_gf2_two_generators():
 
 def test_invert():
     m = Matrix.from_rows([[1, 1], [0, 1]], GF2)
-    assert m @ invert(m) == Matrix.identity(2, GF2)
+    assert m @ GradedLinearMap(None, None, [m]).inverse(0) == Matrix.identity(2, GF2)
     with pytest.raises(NotInSpan):
-        invert(Matrix.zeros(2, 2, QQ))
+        GradedLinearMap(None, None, [Matrix.zeros(2, 2, QQ)]).inverse(0)
 
 
 def test_q_numpy_integers_do_not_wrap():
     big = 3**39  # fits int64, its square does not
-    m = Matrix(np.array([[big, 1], [1, big]]), QQ)
+    m = Matrix.from_rows(np.array([[big, 1], [1, big]]), QQ)
     assert (m @ m).entry(0, 0) == big**2 + 1
 
 
 def test_q_float_entries_are_exact():
-    assert Matrix([[0.1]], QQ).entry(0, 0) == Fraction(0.1)
+    assert Matrix.from_rows([[0.1]], QQ).entry(0, 0) == Fraction(0.1)
+
+
+def test_from_rows_rejects_an_unknown_field():
+    with pytest.raises(ValueError, match="unknown field 'x'"):
+        Matrix.from_rows([[1, 2]], "x")
+    with pytest.raises(ValueError, match="unknown field"):
+        Matrix.from_rows([], "x")
 
 
 entries = st.integers(min_value=-4, max_value=4)
@@ -123,11 +126,17 @@ def test_rank_nullity(m):
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_row_reduce_idempotent_and_consistent(m):
-    red, change, piv = row_reduce(m)
-    assert change @ m == red
-    assert row_reduce(red).reduced == red
-    assert piv == sorted(piv)
-    assert len(set(piv)) == len(piv)
+    s = SpanSolver(m)
+    red = s.change @ m
+    again = SpanSolver(red)
+    assert again.change @ red == red and again.pivots == s.pivots
+    assert s.pivots == sorted(s.pivots)
+    assert len(set(s.pivots)) == len(s.pivots)
+    # the rows past the rank are zero, and each pivot column is a unit vector
+    assert red.take_rows(range(len(s.pivots), m.rows)).is_zero()
+    assert red.take_cols(s.pivots) == Matrix.identity(m.rows, m.field).take_cols(
+        range(len(s.pivots))
+    )
 
 
 @given(matrices())
@@ -233,9 +242,62 @@ def test_rref_q_augmented_matches_dense_reference(a):
     assert piv == dense_rref_q(expect, n)
     # the change-of-basis block too, dependent rows included
     assert same_q(got, expect)
-    red, change, rpiv = row_reduce(Matrix._wrap(a, QQ))
-    assert rpiv == piv
-    assert same_q(red.data, expect[:, :n]) and same_q(change.data, expect[:, n:])
+    s = SpanSolver(Matrix._wrap(a, QQ))
+    assert s.pivots == piv
+    assert same_q(s.change.data, expect[:, n:])
+    assert same_q((s.change @ Matrix._wrap(a, QQ)).data, expect[:, :n])
+
+
+def dense_inverse(m):
+    """Inverse of a square matrix by the dense reference reducer of its
+    field run on [m | I], or None when m is singular."""
+    n = m.rows
+    aug = Matrix.hstack([m, Matrix.identity(n, m.field)]).data
+    if m.field == GF2:
+        aug, piv = dense_rref(aug, n)
+    else:
+        piv = dense_rref_q(aug, n)
+    return aug[:, n:] if piv == list(range(n)) else None
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices over either field; with one row a sum of two others
+    (so singular) about half the time."""
+    field = draw(st.sampled_from([GF2, QQ]))
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(q_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if field == GF2:
+        rows = [[x.numerator & 1 if x.denominator == 1 else 1 for x in r] for r in rows]
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j, k = (draw(st.sampled_from([t for t in range(n) if t != i])) for _ in "jk")
+        rows[i] = [a + b for a, b in zip(rows[j], rows[k])]
+    return Matrix.from_rows(rows, field) if n else Matrix.zeros(0, 0, field)
+
+
+@given(square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_dense_reference(m):
+    expect = dense_inverse(m)
+    f = GradedLinearMap(None, None, [m])
+    if expect is None:
+        with pytest.raises(NotInSpan):
+            f.inverse(0)
+        return
+    got = f.inverse(0)
+    assert got.field == m.field and same_data(got, expect)
+    assert m @ got == Matrix.identity(m.rows, m.field)
+    assert f.inverse(0) is got
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_inverse_refuses_a_non_square_matrix(m):
+    if m.rows == m.cols:
+        return
+    with pytest.raises(ValueError, match="square"):
+        GradedLinearMap(None, None, [m]).inverse(0)
 
 
 @given(q_arrays(), st.data())

@@ -105,7 +105,8 @@ def test_sub_nerve_examples():
     assert k.vertices == (0, 1) and k.edges == ((0, 1),)
     k2 = sub_nerve(c, nv, iv("2.5", "2.9"))
     assert k2.vertices == (1,) and k2.edges == ()
-    assert sub_nerve(c, nv, iv(5, 6)).is_empty()
+    k3 = sub_nerve(c, nv, iv(5, 6))
+    assert k3.vertices == () and k3.edges == ()
 
 
 def test_sub_nerve_face_closed_and_monotone():

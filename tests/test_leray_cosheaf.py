@@ -6,7 +6,7 @@ from decomap import assets
 from decomap.cosheaf_homology import cosheaf_homology, homology_of_restriction
 from decomap.exactlinalg import rank
 from decomap.homology import NestingViolation, induced_map
-from decomap.interval_cover import Cover, OpenInterval, sub_nerve, uniform_cover
+from decomap.interval_cover import Cover, OpenInterval, nerve, sub_nerve, uniform_cover
 from decomap.leray_cosheaf import (
     NotAdmissible,
     build_cellular_leray,
@@ -22,16 +22,16 @@ COARSE = Cover([OpenInterval("-0.5", "2.1"), OpenInterval("0.9", "3.5")])
 def test_cellular_cosheaf_fine_cover_dims(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    assert [d.vertex_values[i].dimension(0) for i in d.nerve.vertices] == [1, 2, 1]
-    assert [d.edge_values[e].dimension(0) for e in d.nerve.edges] == [2, 2]
-    assert all(d.vertex_values[i].dimension(1) == 0 for i in d.nerve.vertices)
+    assert [d.vertex_values[i].dimension(0) for i in d.vertices] == [1, 2, 1]
+    assert [d.edge_values[e].dimension(0) for e in d.edges] == [2, 2]
+    assert all(d.vertex_values[i].dimension(1) == 0 for i in d.vertices)
 
 
 def test_single_element_cover(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, Cover([OpenInterval(-1, 4)]))
     assert d.vertex_values[0].dims() == (1, 1)
-    assert d.nerve.edges == ()
+    assert d.edges == ()
 
 
 def test_coarse_cover_extension_maps(hexagon6):
@@ -65,10 +65,9 @@ def test_extension_maps_match_direct_induced(hexagon6):
 def test_restrict(hexagon6):
     x, f = hexagon6
     d = build_cellular_leray(x, f, FINE)
-    full = d.full_subnerve()
-    same = d.restrict(full.vertices, full.edges)
+    same = d.restrict(d.vertices, d.edges)
     assert same.vertices == (0, 1, 2)
-    kv = sub_nerve(FINE, d.nerve, OpenInterval("1.3", "1.7"))
+    kv = sub_nerve(FINE, d, OpenInterval("1.3", "1.7"))
     r = d.restrict(kv.vertices, kv.edges)
     assert r.vertices == (1,) and r.edges == ()
     assert r.vdims[1][0] == 2
@@ -94,18 +93,19 @@ def test_cellular_cosheaf_is_its_own_data(hexagon6):
         assert d.cosheaf_data() is d
         # caches hang off the object, so equality and hashing go by identity
         assert d != build_cellular_leray(x, f, cover) and {d: 1}[d] == 1
-        assert d.vertices == d.nerve.vertices and d.edges == d.nerve.edges
-        for i in d.nerve.vertices:
+        nv = nerve(cover)
+        assert d.vertices == nv.vertices and d.edges == nv.edges
+        for i in d.vertices:
             assert tuple(d.vdims[i]) == d.vertex_values[i].dims()
-        for e in d.nerve.edges:
+        for e in d.edges:
             assert tuple(d.edims[e]) == d.edge_values[e].dims()
             for k in (0, 1):
                 assert len(d.maps[e][k]) == d.max_deg + 1
                 induced = induced_map(d.edge_values[e], d.vertex_values[e[k]])
                 for n in range(d.max_deg + 1):
                     assert d.maps[e][k][n] == induced.matrix(n)
-        subs = [d.full_subnerve()] + [
-            sub_nerve(cover, d.nerve, OpenInterval(a, b))
+        subs = [d] + [
+            sub_nerve(cover, d, OpenInterval(a, b))
             for a, b in [("-1", "0.5"), ("1.3", "1.7"), ("1", "4")]
         ]
         for k in subs:
@@ -150,12 +150,12 @@ def test_block_sum_invariant(hexagon6, torus):
     ]:
         g = build_decorated_mapper(x, f, cover)
         d = g.cosheaf
-        for i in d.nerve.vertices:
+        for i in d.vertices:
             comps = [n for n in g.nodes if n.cover_index == i]
             for deg in range(d.max_deg + 1):
                 total = sum(n.value.dimension(deg) for n in comps)
                 assert total == d.vertex_values[i].dimension(deg)
-        for e in d.nerve.edges:
+        for e in d.edges:
             comps = [m for m in g.edges if m.cover_pair == e]
             for deg in range(d.max_deg + 1):
                 total = sum(m.value.dimension(deg) for m in comps)

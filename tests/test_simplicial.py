@@ -154,8 +154,10 @@ def test_preimage_hexagon_band(hexagon6):
 
 def test_preimage_full_and_empty(hexagon6):
     x, f = hexagon6
-    assert preimage_subcomplex(x, f, OpenInterval(-10, 10)).counts() == (6, 6)
-    assert preimage_subcomplex(x, f, OpenInterval(100, 101)).is_empty()
+    full = preimage_subcomplex(x, f, OpenInterval(-10, 10))
+    assert {d: len(ids) for d, ids in full.simplex_ids.items()} == {0: 6, 1: 6}
+    empty = preimage_subcomplex(x, f, OpenInterval(100, 101))
+    assert not empty.simplex_ids and not empty.vertices
 
 
 def test_preimage_endpoint_values_excluded(hexagon6):
