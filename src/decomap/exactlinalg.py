@@ -323,20 +323,23 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m)[1])
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns spanning ker(m); column count is cols(m) - rank(m).
-
-    Free columns are enumerated in increasing order, one kernel vector per
-    free column, so the basis is deterministic.
-    """
-    red, piv = _eliminate(m)
+def _reduced_kernel(red, piv, ncols, field) -> Matrix:
+    """Kernel of the first *ncols* columns of a matrix, read off its RREF
+    *red* with pivot columns *piv*: one vector per free column, in order."""
+    piv = [p for p in piv if p < ncols]
     pivset = set(piv)
-    free = [j for j in range(m.cols) if j not in pivset]
-    out = Matrix.zeros(m.cols, len(free), m.field)
+    free = [j for j in range(ncols) if j not in pivset]
+    out = Matrix.zeros(ncols, len(free), field)
     block = red[: len(piv)][:, free]
-    out.data[piv, :] = block if m.field == GF2 else -block
-    out.data[free, range(len(free))] = _one(m.field)
+    out.data[piv, :] = block if field == GF2 else -block
+    out.data[free, range(len(free))] = _one(field)
     return out
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns spanning ker(m), read off its RREF as the homology engine
+    reads its cycles; column count is cols(m) - rank(m)."""
+    return _reduced_kernel(*_eliminate(m), m.cols, m.field)
 
 
 class SpanSolver:

@@ -15,7 +15,7 @@ the one routine for maps on homology, simplicial or cosheaf, and
 
 from __future__ import annotations
 
-from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, kernel_basis, rank
+from .exactlinalg import GF2, Matrix, SpanSolver, _eliminate, _reduced_kernel, rank
 from .simplicial import SimplicialComplex, boundary_matrix
 
 
@@ -134,26 +134,23 @@ def chain_homology(counts, boundary, field, subcomplex) -> GradedVectorSpace:
     Degree-n dimension is dim ker boundary_n - rank boundary_{n+1}; the
     basis completes the boundary columns to the cycle space, pivoted left
     to right, so recomputation yields identical matrices.  Each boundary is
-    built once, for degree n's basis and then for degree n+1's cycles.
+    built and eliminated once: the RREF of [boundary_{n+1} | Z_n] gives
+    degree n's basis from its Z_n block and Z_{n+1} from the other.
     """
     bases = []
-    bnd = None  # boundary_n, when degree n-1 built it
+    cycles = None  # Z_n, read off degree n-1's elimination; None when all of C_n
     for n, cn in enumerate(counts):
-        if cn == 0:
-            bases.append(Matrix.zeros(0, 0, field))
-            bnd = None
-            continue
-        if n == 0:
+        if cycles is None:
             cycles = Matrix.identity(cn, field)
-        else:
-            cycles = kernel_basis(bnd if bnd is not None else boundary(n))
         bnd = boundary(n + 1)
-        if bnd.cols == 0:
+        if cn == 0 or bnd.cols == 0:
             bases.append(cycles)
+            cycles = None
             continue
-        _, piv = _eliminate(Matrix.hstack([bnd, cycles]))
-        chosen = [p - bnd.cols for p in piv if p >= bnd.cols]
-        bases.append(cycles.take_cols(chosen))
+        red, piv = _eliminate(Matrix.hstack([bnd, cycles]))
+        bases.append(cycles.take_cols([p - bnd.cols for p in piv if p >= bnd.cols]))
+        cycles = _reduced_kernel(red, piv, bnd.cols, field) if n + 1 < len(counts) else None
+        del red  # not kept alive through the next degree's elimination
     return GradedVectorSpace(subcomplex, field, bases, boundary)
 
 

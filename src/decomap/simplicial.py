@@ -273,14 +273,15 @@ def euler_characteristic(k):
     return sum((-1) ** d * len(ids) for d, ids in k.simplex_ids.items())
 
 
-def _link_connected(verts, edges):
-    if not verts:
+def _link_is_tree(verts, edges):
+    """True when the graph on *verts* with *edges* (all between them) is a
+    tree: nonempty, connected and with one edge fewer than vertices."""
+    if not verts or len(edges) != len(verts) - 1:
         return False
     adj = {v: [] for v in verts}
     for a, b in edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
+        adj[a].append(b)
+        adj[b].append(a)
     seen = set()
     stack = [next(iter(verts))]
     while stack:
@@ -296,12 +297,12 @@ def critical_values(x, f):
     """Values where the sublevel topology of the field can change.
 
     A vertex is regular when both its strict lower link and strict upper
-    link are nonempty and connected (connectivity taken through the link
-    edges contributed by the triangles at the vertex); the returned sorted
-    list collects the values of all non-regular vertices.  Exact for PL
-    fields on complexes of dimension <= 2; a higher-dimensional complex
-    raises ``ValueError``, since a vertex can change the topology there
-    with both links connected.
+    link are trees (graphs through the link edges contributed by the
+    triangles at the vertex), that is nonempty with zero reduced
+    homology; the returned sorted list collects the values of all
+    non-regular vertices.  Exact for PL fields on complexes of dimension
+    <= 2, where the links are graphs; a higher-dimensional complex raises
+    ``ValueError``, since its links have cells the graph rule cannot read.
     """
     if x.max_dim > 2:
         raise ValueError(
@@ -324,6 +325,6 @@ def critical_values(x, f):
         upper = {u for u in link_verts[v] if f(u) > fv}
         lo_edges = [e for e in link_edges[v] if e[0] in lower and e[1] in lower]
         up_edges = [e for e in link_edges[v] if e[0] in upper and e[1] in upper]
-        if not (_link_connected(lower, lo_edges) and _link_connected(upper, up_edges)):
+        if not (_link_is_tree(lower, lo_edges) and _link_is_tree(upper, up_edges)):
             crit.add(fv)
     return sorted(crit)

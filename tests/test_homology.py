@@ -2,21 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from decomap import assets
-from decomap.exactlinalg import GF2, QQ, Matrix, rank
+from decomap import assets, exactlinalg
+from decomap.cosheaf_homology import CosheafChainComplex, CosheafData, cosheaf_homology
+from decomap.exactlinalg import GF2, QQ, Matrix, SpanSolver, kernel_basis, rank
 from decomap.homology import (
     NestingViolation,
     homology,
     induced_map,
 )
 from decomap.interval_cover import OpenInterval
+from decomap.leray_cosheaf import build_cellular_leray
 from decomap.simplicial import (
     boundary_matrix,
     build_complex,
     euler_characteristic,
     preimage_subcomplex,
 )
+
+from instancegen import random_circle_instance, random_instance
 
 
 def test_circle_betti(hexagon6):
@@ -174,8 +180,87 @@ def test_homology_builds_each_boundary_once(monkeypatch):
         built.append((k.cache_key(), n, field))
         return boundary_matrix(k, n, field)
 
+    eliminated = []
+
+    def counting_elim(elim, field):
+        def run(*args, **kwargs):
+            eliminated.append(field)
+            return elim(*args, **kwargs)
+        return run
+
     monkeypatch.setattr(engine, "boundary_matrix", counting)
+    monkeypatch.setattr(exactlinalg, "gf2_rref", counting_elim(exactlinalg.gf2_rref, GF2))
+    monkeypatch.setattr(exactlinalg, "_rref_q", counting_elim(exactlinalg._rref_q, QQ))
     for field in (GF2, QQ):
         assert homology(x, field).dims() == (1, 2, 1)
     assert sorted(n for _, n, _ in built) == [1, 1, 2, 2]
     assert len(set(built)) == len(built)
+    # one elimination per degree below the top: [boundary_{n+1} | Z_n]
+    # gives degree n's basis and degree n+1's cycles at once
+    assert eliminated == [GF2, GF2, QQ, QQ]
+
+
+def two_elimination_bases(counts, boundary, field):
+    """Bases of the engine's two-elimination form, kept as its reference:
+    each degree's cycles from ``kernel_basis`` of its own boundary, then
+    the pivot columns of [boundary_{n+1} | cycles] in the cycle block."""
+    bases = []
+    for n, cn in enumerate(counts):
+        cycles = Matrix.identity(cn, field) if n == 0 else kernel_basis(boundary(n))
+        bnd = boundary(n + 1)
+        if cn == 0 or bnd.cols == 0:
+            bases.append(cycles)
+            continue
+        piv = SpanSolver(Matrix.hstack([bnd, cycles])).pivots
+        bases.append(cycles.take_cols([p - bnd.cols for p in piv if p >= bnd.cols]))
+    return bases
+
+
+def simplicial_boundary(x, field):
+    k = x.full_handle()
+
+    def boundary(n):
+        if not k.simplex_ids.get(n):
+            return Matrix.zeros(len(k.simplex_ids.get(n - 1, ())), 0, field)
+        return boundary_matrix(k, n, field)
+    return boundary
+
+
+def cosheaf_boundary(cc):
+    return lambda n: cc.boundary if n == 1 else Matrix.zeros(cc.edge_dim, 0, cc.field)
+
+
+def assert_matches_reference(gvs, counts, boundary):
+    expect = two_elimination_bases(counts, boundary, gvs.field)
+    assert [gvs.basis(n) for n in range(gvs.max_deg + 1)] == expect
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_engine_bases_match_two_elimination_reference(seed):
+    # simplicial homology in every degree and below the top one, and the
+    # homology of each degree's complex of the cellular cosheaf
+    rng = random.Random(seed)
+    for x, f, cover in (random_instance(rng, max_vertices=30), random_circle_instance(rng)):
+        for field in (GF2, QQ):
+            boundary = simplicial_boundary(x, field)
+            counts = [len(x.simplices.get(n, ())) for n in range(x.max_dim + 1)]
+            for top in range(x.max_dim + 1):
+                assert_matches_reference(homology(x, field, top), counts[: top + 1], boundary)
+            d = build_cellular_leray(x, f, cover, field)
+            for n in range(d.max_deg + 1):
+                cc = CosheafChainComplex(d, n)
+                assert_matches_reference(cc.homology(), cc.counts, cosheaf_boundary(cc))
+
+
+def test_engine_hands_all_chains_on_past_a_degree_without_cells():
+    # no vertex value in degree 0, one edge value: the edge is a cycle
+    for field in (GF2, QQ):
+        z = Matrix.zeros(0, 1, field)
+        d = CosheafData((0, 1), ((0, 1),), {0: [0], 1: [0]}, {(0, 1): [1]},
+                        {(0, 1): ([z], [z])}, field, 0)
+        h = cosheaf_homology(d)
+        assert h.h0_dims() == (0,) and h.h1_dims() == (1,)
+        cc = h.degrees[0].subcomplex
+        assert h.degrees[0].basis(1) == Matrix.identity(1, field)
+        assert_matches_reference(h.degrees[0], cc.counts, cosheaf_boundary(cc))

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from decomap.convergence import convergence_table
 from decomap.exactlinalg import GF2, QQ, Matrix, rank
+from decomap.homology import homology
 from decomap.interval_cover import OpenInterval
 from decomap.simplicial import (
     DegreeOutOfRange,
@@ -18,7 +22,7 @@ from decomap.simplicial import (
     preimage_subcomplex,
 )
 
-from instancegen import random_instance
+from instancegen import random_circle_instance, random_instance
 
 
 def bfs_components(vertex_set, edges):
@@ -241,3 +245,61 @@ def test_critical_values_reject_dimension_three():
 def test_critical_values_standing_torus(torus):
     x, f = torus
     assert critical_values(x, f) == [0, Fraction(3, 2), 3]
+
+
+def coned_rings():
+    """Eight 3-vertex rings at r/8 joined by annuli, an apex at 1 coning off
+    the top ring, and a path from the apex up to 2 in steps of 1/8."""
+    values = {3 * r + j: Fraction(r, 8) for r in range(8) for j in range(3)}
+    sims = []
+    for r in range(7):
+        for j in range(3):
+            a, a1 = 3 * r + j, 3 * r + (j + 1) % 3
+            sims += [(a, a1, a + 3), (a1, a1 + 3, a + 3)]
+    sims += [(21 + j, 21 + (j + 1) % 3, 24) for j in range(3)]
+    for k in range(9):
+        values[24 + k] = 1 + Fraction(k, 8)
+    sims += [(24 + k, 25 + k) for k in range(8)]
+    return build_complex([sorted(s) for s in sims], values)
+
+
+def test_critical_values_see_a_lower_link_with_a_cycle():
+    # the apex's lower link is the top ring: connected, but a cycle, so
+    # passing 1 kills the rings' H1
+    x, f = coned_rings()
+    assert critical_values(x, f) == [0, 1, 2]
+    table = convergence_table(x, f, 2, Fraction(1, 3), 4, samples=12, seed=0)
+    assert [row.mismatch_count for row in table.rows] == [2, 2, 0, 0]
+
+
+def strict_link(x, f, v, side):
+    """The simplices of the strict lower (side -1) or upper (side 1) link
+    of v: the faces opposite v of its edges and triangles whose other
+    vertices all lie on that side of f(v)."""
+    faces = []
+    for s in x.n_simplices(1) + x.n_simplices(2):
+        rest = tuple(u for u in s if u != v)
+        if len(rest) < len(s) and all(side * (f(u) - f(v)) > 0 for u in rest):
+            faces.append(rest)
+    return faces
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_critical_values_agree_with_link_homology(seed):
+    # a vertex is regular exactly when its strict lower and upper links,
+    # each a complex of its own, have zero reduced homology: homology()
+    # dims (1, 0), and an empty link never qualifies
+    rng = random.Random(seed)
+    for x, f, _ in (random_instance(rng), random_circle_instance(rng)):
+        expect = set()
+        for v in x.vertices:
+            for side in (-1, 1):
+                faces = strict_link(x, f, v, side)
+                if not faces:
+                    expect.add(f(v))
+                    continue
+                link, _ = build_complex(faces, {u: f(u) for t in faces for u in t})
+                if homology(link, GF2, 1).dims() != (1, 0):
+                    expect.add(f(v))
+        assert critical_values(x, f) == sorted(expect)
