@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomap import assets
 from decomap.convergence import (
@@ -89,6 +91,32 @@ def test_extension_map_composition(hexagon6):
         direct = extension_map(d, FINE, v, vab)
         for n in range(d.max_deg + 1):
             assert two.matrix(n) @ one.matrix(n) == direct.matrix(n)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_extension_maps_compose_in_total_degree(seed):
+    # on an instance with cosheaf H1 and on one without, over both fields:
+    # U in V in W gives ext(V, W) @ ext(U, V) == ext(U, W), and ext(V, V)
+    # is the identity in every degree; W is drawn, or holds everything
+    rng = random.Random(seed)
+    for x, f, cover in (random_circle_instance(rng), random_instance(rng, max_vertices=30)):
+        v, w = random_nested_pair(rng, f)
+        span = v.hi - v.lo
+        u = OpenInterval(v.lo + span * Fraction(rng.random()) / 3,
+                         v.hi - span * Fraction(rng.random()) / 3)
+        everything = OpenInterval(f.min_value() - 1, f.max_value() + 1)
+        for field in (GF2, QQ):
+            d = build_cellular_leray(x, f, cover, field)
+            uv = extension_map(d, cover, u, v)
+            for top in (w, everything):
+                assert extension_map(d, cover, v, top) @ uv == extension_map(d, cover, u, top)
+            for a in (v, everything):
+                ident = extension_map(d, cover, a, a)
+                assert ident.matrices == [
+                    Matrix.identity(ident.source.dimension(n), field)
+                    for n in range(d.max_deg + 1)
+                ]
 
 
 def test_oracle_union_homology(hexagon6):
