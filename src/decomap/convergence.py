@@ -5,11 +5,10 @@ Three layers of machinery:
 * ``continuous_extension`` evaluates the cosheaf's best guess for the
   homology of a preimage over any open interval: the cosheaf homology
   over the sub-nerve K_V (``sub_nerve(c, d, v)``; the cosheaf's own
-  vertices and edges are the nerve), the
-  :class:`~decomap.cosheaf_homology.CosheafHomology` cached on the
-  cosheaf, read in total degree (degree n holds cosheaf degree n's H0
-  beside degree n-1's H1).  The same object is the source of extension
-  maps and MV witnesses.
+  vertices and edges are the nerve), the homology of its total complex
+  (degree n holds H0 of the degree-n values beside H1 of the
+  degree-(n-1) values), cached on the cosheaf.  Extension maps are the
+  maps it induces, and MV witnesses start from it.
 
 * ``mv_isomorphism`` builds the explicit Mayer-Vietoris isomorphism from
   that guess onto the homology of the preimage of the union of the K_V
@@ -38,11 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cosheaf_homology import (
-    CosheafHomology,
-    homology_of_restriction,
-    induced_cosheaf_map,
-)
+from .cosheaf_homology import homology_of_restriction, induced_cosheaf_map
 from .exactlinalg import GF2, Matrix, NotInSpan
 from .homology import GradedLinearMap, GradedVectorSpace, homology, induced_map
 from .interval_cover import (
@@ -76,9 +71,20 @@ def _check_cover(d: CellularCosheaf, c):
         )
 
 
-def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> CosheafHomology:
+def _check_built_over(d: CellularCosheaf, x, f, c):
+    """Raise ``ValueError`` unless *x*, *f* and *c* are the complex, function
+    and cover *d* was built over: the preimages of another complex or
+    function name simplices *d*'s witnesses do not have."""
+    for name, given, own in (("complex", x, d.complex), ("function", f, d.function)):
+        if given is not own:
+            raise ValueError(f"the {name} is not the one the cosheaf was built over")
+    _check_cover(d, c)
+
+
+def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> GradedVectorSpace:
     """Extension value at V: the cosheaf homology over K_V, cached on *d*,
-    whose total degree n is H0 of degree n plus H1 of degree n-1.
+    whose degree n is H0 of the degree-n values plus H1 of the degree-(n-1)
+    values.
 
     *c* must be the cover *d* was built over (``ValueError`` otherwise).
     """
@@ -88,24 +94,12 @@ def continuous_extension(d: CellularCosheaf, c, v: OpenInterval) -> CosheafHomol
 
 
 def extension_map(d: CellularCosheaf, c, v: OpenInterval, w: OpenInterval) -> GradedLinearMap:
-    """C(V) -> C(W) for V inside W: block-diagonal assembly of the induced
-    cosheaf maps, H0 of degree n beside H1 of degree n-1."""
+    """C(V) -> C(W) for V inside W: the map the inclusion K_V -> K_W
+    induces on cosheaf homology."""
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} is not contained in {w}")
     _check_cover(d, c)
-    k_v = sub_nerve(c, d, v)
-    k_w = sub_nerve(c, d, w)
-    pairs = induced_cosheaf_map(d, k_v, k_w)
-    src, tgt = (homology_of_restriction(d, k.vertices, k.edges) for k in (k_v, k_w))
-    mats = []
-    for n in range(d.max_deg + 1):
-        h0 = pairs[n][0]
-        h1 = pairs[n - 1][1] if n else Matrix.zeros(0, 0, d.field)
-        mats.append(Matrix.from_blocks(
-            h0.rows + h1.rows, h0.cols + h1.cols,
-            [(0, 0, h0), (h0.rows, h0.cols, h1)], d.field,
-        ))
-    return GradedLinearMap(src, tgt, mats)
+    return induced_cosheaf_map(d, sub_nerve(c, d, v), sub_nerve(c, d, w))
 
 
 def union_preimage(x, f, c, k_v: SubNerve):
@@ -122,14 +116,15 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMa
     """The Mayer-Vietoris isomorphism from the extension value over K_V onto
     the homology of the union preimage, one matrix per degree.
 
-    The H0 part includes each vertex-block homology class into the union;
-    the H1 part lifts a kernel element to cycle chains on the overlaps,
-    bounds its pushforward inside each vertex preimage (an exact solve;
-    admissibility guarantees solvability), and glues the results into a
-    cycle of the union.  Both parts are chains of the union, expressed in
-    its homology basis together.
+    Each basis class has vertex rows and edge rows.  The vertex rows are
+    homology classes of the vertex preimages, included into the union as
+    cycles; the edge rows are cycle chains on the overlaps, whose
+    pushforward each vertex preimage bounds (an exact solve; admissibility
+    guarantees solvability), and the bounding chains glue into a cycle of
+    the union.  The sum of both parts is a chain of the union, expressed
+    in its homology basis.
     """
-    _check_cover(d, c)
+    _check_built_over(d, x, f, c)
     key = (k_v.vertices, k_v.edges)
     if key in d.witness_cache:
         return d.witness_cache[key]
@@ -138,16 +133,13 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMa
     target = homology(big, d.field, d.max_deg)
     mats = []
     for n in range(d.max_deg + 1):
-        deg = hom.degrees[n]
-        # H0 part: vertex-block classes, as chains of the union
-        chains = Matrix.zeros(len(big.simplex_ids.get(n, ())), deg.dimension(0), d.field)
-        for i, rows in deg.subcomplex.cells[0].items():
-            if rows and deg.dimension(0):
-                basis = big.reindex(d.vertex_values[i].basis(n), d.vertex_handles[i], n)
-                chains = chains + basis @ deg.basis(0).take_rows(rows)
-        # H1 part, beside it: zig-zag cycles of cosheaf degree n-1's classes
-        if n >= 1 and hom.degrees[n - 1].dimension(1):
-            chains = Matrix.hstack([chains, _zig_zag(d, hom.degrees[n - 1], big, n)])
+        basis = hom.basis(n)
+        vertex_rows, edge_rows = hom.subcomplex.cells[n]
+        chains = _zig_zag(d, basis, edge_rows, big, n)
+        for i, rows in vertex_rows.items():
+            if rows and basis.cols:
+                cycles = big.reindex(d.vertex_values[i].basis(n), d.vertex_handles[i], n)
+                chains = chains + cycles @ basis.take_rows(rows)
         if target.dimension(n) and chains.cols:
             mats.append(target.express_cycles(n, chains))
         else:
@@ -157,21 +149,20 @@ def mv_isomorphism(x, f, c, d: CellularCosheaf, k_v: SubNerve) -> GradedLinearMa
     return witness
 
 
-def _zig_zag(d: CellularCosheaf, prev: GradedVectorSpace, big, n) -> Matrix:
-    """n-cycles of the union, one per H1 class of the cosheaf's degree n-1
-    complex *prev*: each vertex bounds its share of the class's overlap
-    cycles, and the bounding chains glue."""
-    ker = prev.basis(1)
+def _zig_zag(d: CellularCosheaf, basis: Matrix, edge_rows, big, n) -> Matrix:
+    """n-chains of the union, one per column of *basis*: each vertex
+    bounds its share of the overlap cycles that the column's *edge_rows*
+    name, and the bounding chains glue (zero for a class without them)."""
     per_vertex = {}
-    for e, rows in prev.subcomplex.cells[1].items():
+    for e, rows in edge_rows.items():
         if not rows:
             continue
-        z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
+        z = d.edge_values[e].basis(n - 1) @ basis.take_rows(rows)
         # the boundary of the edge (a, b) is b - a
         for i, zi in zip(e, (-z, z)):
             zi = d.vertex_handles[i].reindex(zi, d.edge_handles[e], n - 1)
             per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
-    glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
+    glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), basis.cols, d.field)
     for i, y in per_vertex.items():
         if y.is_zero():
             continue
@@ -223,11 +214,11 @@ class CommutingSquareReport:
 
 def _cosheaf(x, f, c, field, max_deg, d: CellularCosheaf | None) -> CellularCosheaf:
     """*d*, or the cosheaf built here over *field* (GF(2) when omitted);
-    a *field*, *max_deg* or cover *c* that disagrees with a given *d*
-    raises ``ValueError``."""
+    a *field*, *max_deg*, complex *x*, function *f* or cover *c* that
+    disagrees with a given *d* raises ``ValueError``."""
     if d is None:
         return build_cellular_leray(x, f, c, field or GF2, max_deg)
-    _check_cover(d, c)
+    _check_built_over(d, x, f, c)
     if field is not None and field != d.field:
         raise ValueError(f"field {field!r} disagrees with the cosheaf's field {d.field!r}")
     if max_deg is not None and max_deg != d.max_deg:
@@ -243,8 +234,9 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     map between union-preimage homologies.  Horizontal arrows: the two MV
     witnesses, which must be square and invertible.  All homology is taken
     over the field and up to the degree of *d*; *field* (GF(2) when omitted)
-    and *max_deg* only choose them when *d* is built here, and a value (or
-    a cover *c*) that disagrees with a given *d* raises ``ValueError``.
+    and *max_deg* only choose them when *d* is built here, and a value that
+    disagrees with a given *d*, or an *x*, *f* or *c* it was not built over,
+    raises ``ValueError``.
     """
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
@@ -388,9 +380,9 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
 
     All homology is taken over the field and up to the degree of *d*;
     *field* (GF(2) when omitted) and *max_deg* only choose them when *d* is
-    built here, and a value (or a cover *c*) that disagrees with a given *d*
-    raises ``ValueError``, as does *samples* below 1: a verdict over no sample
-    would certify nothing.
+    built here, and a value that disagrees with a given *d*, or an *x*, *f*
+    or *c* it was not built over, raises ``ValueError``, as does *samples*
+    below 1: a verdict over no sample would certify nothing.
     """
     if samples < 1:
         raise ValueError(f"interleaving_check needs at least one sample, got {samples}")

@@ -7,7 +7,7 @@ so the matrices of induced maps are reproducible and can be compared
 exactly; :meth:`GradedVectorSpace.express_cycles` gives class coordinates.
 :func:`homology` adapts it to simplicial (sub)complexes and memoizes the
 result on the parent complex keyed by the selected simplex set, since the
-same slice tends to be requested many times; the cosheaf complexes of
+same slice tends to be requested many times; the total complexes of
 :mod:`decomap.cosheaf_homology` call it directly.  :func:`induced_map` is
 the one routine for maps on homology, simplicial or cosheaf, and
 :class:`GradedLinearMap` the one type that holds them.
@@ -33,7 +33,7 @@ class GradedVectorSpace:
     ``basis(n)`` has one column per homology class, written as a cycle in
     the complex's n-chain coordinates.  Degrees above max_deg are zero by
     convention.  ``subcomplex`` is the complex the homology is of: a
-    simplicial handle, or a cosheaf's chain complex in one degree.
+    simplicial handle, or a cosheaf's total complex.
     """
 
     def __init__(self, subcomplex, field, bases, boundary):
@@ -128,14 +128,15 @@ def _boundary_columns(k, n, field) -> Matrix:
 def chain_homology(counts, boundary, field, subcomplex) -> GradedVectorSpace:
     """Homology in degrees 0..len(counts)-1 of the chain complex with
     ``counts[n]`` cells in degree n and boundary matrices ``boundary(n)``
-    (``counts[n-1]`` rows, and no columns above the top degree); the
-    result keeps *subcomplex*, the complex itself.
+    (``counts[n-1]`` rows); the result keeps *subcomplex*, the complex
+    itself.
 
     Degree-n dimension is dim ker boundary_n - rank boundary_{n+1}; the
     basis completes the boundary columns to the cycle space, pivoted left
     to right, so recomputation yields identical matrices.  Each boundary is
     built and eliminated once: the RREF of [boundary_{n+1} | Z_n] gives
-    degree n's basis from its Z_n block and Z_{n+1} from the other.
+    degree n's basis from its Z_n block and Z_{n+1} from the other.  A
+    boundary of zeros bounds nothing and is not eliminated.
     """
     bases = []
     cycles = None  # Z_n, read off degree n-1's elimination; None when all of C_n
@@ -143,7 +144,7 @@ def chain_homology(counts, boundary, field, subcomplex) -> GradedVectorSpace:
         if cycles is None:
             cycles = Matrix.identity(cn, field)
         bnd = boundary(n + 1)
-        if cn == 0 or bnd.cols == 0:
+        if cn == 0 or bnd.is_zero():
             bases.append(cycles)
             cycles = None
             continue
@@ -176,7 +177,7 @@ def induced_map(a: GradedVectorSpace, b: GradedVectorSpace) -> GradedLinearMap:
     """Map on homology induced by the inclusion of a's complex into b's: the
     basis cycles of *a*, zero-extended by ``b.subcomplex.reindex``, in the
     class coordinates of *b*.  Both complexes are simplicial handles, or
-    both are a cosheaf's chain complexes in one degree."""
+    both are total complexes of cosheaf restrictions."""
     if a.field != b.field:
         raise ShapeMismatch("field mismatch")
     if not b.subcomplex.contains(a.subcomplex):

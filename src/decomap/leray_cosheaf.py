@@ -21,7 +21,7 @@ from .cosheaf_homology import CosheafData
 from .exactlinalg import GF2
 from .homology import GradedLinearMap, GradedVectorSpace, homology, induced_map
 from .interval_cover import Cover, admissible, nerve
-from .simplicial import connected_components, preimage_subcomplex
+from .simplicial import ScalarField, SimplicialComplex, connected_components, preimage_subcomplex
 
 
 class NotAdmissible(Exception):
@@ -37,13 +37,16 @@ class CellularCosheaf(CosheafData):
     """Graded homology data over the nerve of an admissible interval cover.
 
     The :class:`CosheafData` fields hold the dims and matrices that the
-    cosheaf homology engine reads; the preimage handles and graded spaces
-    they were taken from stay alongside for the witness layer.  Its
+    cosheaf homology engine reads; the complex, function and cover it was
+    built over, and the preimage handles and graded spaces the data were
+    taken from, stay alongside for the witness layer.  Its
     ``vertices`` and ``edges`` are the nerve of ``cover``, so the cosheaf
     stands for its nerve wherever a sub-nerve is read: ``sub_nerve(cover,
     d, v)``, or *d* itself as the full one.
     """
 
+    complex: SimplicialComplex
+    function: ScalarField
     cover: Cover
     vertex_handles: dict
     vertex_values: dict
@@ -95,6 +98,8 @@ def build_cellular_leray(x, f, c: Cover, field=GF2, max_deg=None) -> CellularCos
         maps,
         field,
         max_deg,
+        complex=x,
+        function=f,
         cover=c,
         vertex_handles=vertex_handles,
         vertex_values=vertex_values,

@@ -90,8 +90,7 @@ def test_c3_constant_cosheaf_oracle():
             if ru != rv:
                 parent[ru] = rv
         b0 = len({find(v) for v in range(nv)})
-        assert h.h0_dims() == (b0,)
-        assert h.h1_dims() == (len(edges) - nv + b0,)
+        assert h.dims() == (b0, len(edges) - nv + b0)
     took = time.perf_counter() - t0
     report(3, took, 10.0, "constant cosheaf dims on 100 seeded random graphs")
 

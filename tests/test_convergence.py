@@ -20,12 +20,12 @@ from decomap.convergence import (
     union_preimage,
     verify_commuting_square,
 )
-from decomap.cosheaf_homology import cosheaf_homology, homology_of_restriction
+from decomap.cosheaf_homology import CosheafChainComplex, homology_of_restriction
 from decomap.exactlinalg import GF2, QQ, Matrix, SpanSolver, rank
 from decomap.homology import homology, induced_map
 from decomap.interval_cover import Cover, OpenInterval, sub_nerve, thicken, uniform_cover
 from decomap.leray_cosheaf import build_cellular_leray
-from decomap.simplicial import boundary_matrix
+from decomap.simplicial import ScalarField, boundary_matrix
 from instancegen import random_circle_instance, random_instance, random_nested_pair
 
 FINE = Cover([OpenInterval("-0.5", "1.2"), OpenInterval("0.8", "2.2"),
@@ -192,43 +192,47 @@ def test_circle_instances_witness_h1_and_commute():
         pairs += [(v, everything) for v, _ in pairs[:2]] + [(everything, everything)]
         for field in (GF2, QQ):
             d = build_cellular_leray(x, f, cover, field)
-            assert any(cosheaf_homology(d).h1_dims())
+            assert any(h1_part(CosheafChainComplex(d), n) for n in range(1, d.max_deg + 2))
             for v, w in pairs:
                 for k in (sub_nerve(cover, d, v), sub_nerve(cover, d, w)):
                     wit = mv_isomorphism(x, f, cover, d, k)
                     assert all(wit.is_isomorphism(n) for n in range(d.max_deg + 1))
-                    zig_zags += wit.source.degrees[0].dimension(1) > 0
+                    zig_zags += h1_part(wit.source.subcomplex, 1) > 0
                 assert verify_commuting_square(x, f, cover, v, w, d=d).ok
     assert zig_zags >= 16
 
 
+def h1_part(cc, n):
+    """Dimension of the H1 part of total degree n of the total complex
+    *cc*: its edge rows in degree n, less the rank of its boundary."""
+    return sum(map(len, cc.cells[n][1].values())) - rank(cc.boundary(n))
+
+
 def reference_mv_matrices(x, f, c, d, k_v, solvers):
     """The MV witness assembled independently of ``mv_isomorphism``: one
-    induced map per nerve vertex for the H0 part, and a solve against the
-    bare boundary of each vertex preimage (factorized once per vertex and
-    degree in *solvers*) for the zig-zag."""
+    induced map per nerve vertex for the basis's vertex rows, and a solve
+    against the bare boundary of each vertex preimage (factorized once per
+    vertex and degree in *solvers*) for the zig-zag of its edge rows."""
     hom = homology_of_restriction(d, k_v.vertices, k_v.edges)
     big = union_preimage(x, f, c, k_v)
     target = homology(big, d.field, d.max_deg)
     mats = []
     for n in range(d.max_deg + 1):
-        deg = hom.degrees[n]
-        h0 = Matrix.zeros(target.dimension(n), deg.dimension(0), d.field)
-        for i, rows in deg.subcomplex.cells[0].items():
+        basis = hom.basis(n)
+        vertex_rows, edge_rows = hom.subcomplex.cells[n]
+        mat = Matrix.zeros(target.dimension(n), basis.cols, d.field)
+        for i, rows in vertex_rows.items():
             if rows:
                 into_union = induced_map(d.vertex_values[i], target).matrix(n)
-                h0 = h0 + into_union @ deg.basis(0).take_rows(rows)
-        cols = [h0]
-        if n >= 1 and hom.degrees[n - 1].dimension(1):
-            prev = hom.degrees[n - 1]
-            ker = prev.basis(1)
+                mat = mat + into_union @ basis.take_rows(rows)
+        if n >= 1 and h1_part(hom.subcomplex, n):
             per_vertex = {}
-            for e, rows in prev.subcomplex.cells[1].items():
-                z = d.edge_values[e].basis(n - 1) @ ker.take_rows(rows)
+            for e, rows in edge_rows.items():
+                z = d.edge_values[e].basis(n - 1) @ basis.take_rows(rows)
                 for i, zi in zip(e, (-z, z)):
                     zi = d.vertex_handles[i].reindex(zi, d.edge_handles[e], n - 1)
                     per_vertex[i] = per_vertex[i] + zi if i in per_vertex else zi
-            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), ker.cols, d.field)
+            glued = Matrix.zeros(len(big.simplex_ids.get(n, ())), basis.cols, d.field)
             for i, y in per_vertex.items():
                 if y.is_zero():
                     continue
@@ -237,8 +241,8 @@ def reference_mv_matrices(x, f, c, d, k_v, solvers):
                     solvers[i, n] = SpanSolver(bnd)
                 ci = solvers[i, n].solve(y)
                 glued = glued + big.reindex(ci, d.vertex_handles[i], n)
-            cols.append(target.express_cycles(n, glued))
-        mats.append(Matrix.hstack(cols))
+            mat = mat + target.express_cycles(n, glued)
+        mats.append(mat)
     return mats
 
 
@@ -258,8 +262,8 @@ def test_mv_witness_matches_the_reference_assembly():
             for k in subs:
                 ref = reference_mv_matrices(x, f, cover, d, k, solvers)
                 assert mv_isomorphism(x, f, cover, d, k).matrices == ref
-                hom = homology_of_restriction(d, k.vertices, k.edges)
-                zig_zags += any(deg.dimension(1) for deg in hom.degrees)
+                cc = homology_of_restriction(d, k.vertices, k.edges).subcomplex
+                zig_zags += any(h1_part(cc, n) for n in range(1, d.max_deg + 2))
     assert zig_zags >= 12
 
 
@@ -338,6 +342,25 @@ def test_a_given_cosheaf_refuses_another_cover():
     same = uniform_cover(3, "0.45", 0, 3)
     assert interleaving_check(x, f, same, samples=6, seed=1, d=d).verdict
     assert verify_commuting_square(x, f, same, V_PROBE, w, d=d).ok
+
+
+def test_a_given_cosheaf_refuses_another_complex_or_function():
+    # the preimages of another complex, or of another function, name
+    # simplices that the cosheaf's witnesses do not have
+    x, f = assets.hexagon_circle(1)
+    d = build_cellular_leray(x, f, FINE)
+    x2, f2 = assets.hexagon_circle(2)
+    nudged = ScalarField({v: y + Fraction(1, 7) * (v % 2) for v, y in f.values.items()})
+    w = OpenInterval(-1, 4)
+    for other_x, other_f, name in ((x2, f2, "complex"), (x, nudged, "function")):
+        with pytest.raises(ValueError, match=name):
+            verify_commuting_square(other_x, other_f, FINE, V_PROBE, w, d=d)
+        with pytest.raises(ValueError, match=name):
+            interleaving_check(other_x, other_f, FINE, samples=4, seed=1, d=d)
+        with pytest.raises(ValueError, match=name):
+            mv_isomorphism(other_x, other_f, FINE, d, d)
+    assert d.complex is x and d.function is f
+    assert verify_commuting_square(x, f, FINE, V_PROBE, w, d=d).ok
 
 
 def test_extension_dims_agree_over_gf2_and_q():
