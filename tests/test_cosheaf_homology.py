@@ -79,7 +79,7 @@ def test_empty_cosheaf():
 
 def test_cosheaf_refuses_a_loop():
     # a loop's two blocks would land on one vertex position and cancel,
-    # giving H0 (0,) and H1 (0,) where a loop has (1,) and (1,)
+    # giving dims (0, 0) where a loop has (1, 1)
     with pytest.raises(ValueError, match="two distinct vertices"):
         constant_cosheaf(1, [(0, 0)])
 
