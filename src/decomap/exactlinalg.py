@@ -12,7 +12,8 @@ build matrices from rows (:meth:`Matrix.from_rows`, the one constructor
 that coerces outside values), signed entries (:meth:`Matrix.from_entries`)
 or placed blocks (:meth:`Matrix.from_blocks`), take rows and columns, and
 combine them with ``@``, ``+`` and unary ``-``; none of them reads the
-storage or does field-specific arithmetic.
+storage or does field-specific arithmetic.  :func:`boundary_rank` ranks a
+boundary given as the row lists of its columns, with no matrix at all.
 
 Rational matrices are stored dense but reduced and multiplied sparse: each
 row becomes a ``{col: value}`` dict of its nonzeros, integral values are
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf2kernel import gf2_matmul, gf2_rref
+from .gf2kernel import gf2_matmul, gf2_rank, gf2_rref
 
 GF2 = "gf2"
 QQ = "q"
@@ -135,7 +136,12 @@ class Matrix:
         """A rows x cols matrix with ``values[t]`` at ``(row_idx[t],
         col_idx[t])``, and zero elsewhere; the positions must be distinct."""
         m = cls.zeros(rows, cols, field)
-        m.data[list(row_idx), list(col_idx)] = [_coerce_entry(x, field) for x in values]
+        raw = np.asarray(values)
+        if field == GF2 and raw.dtype.kind in "iu":
+            entries = raw & 1  # integers need no exactness check
+        else:
+            entries = [_coerce_entry(x, field) for x in values]
+        m.data[list(row_idx), list(col_idx)] = entries
         return m
 
     @classmethod
@@ -321,6 +327,66 @@ def _eliminate(m: Matrix):
 
 def rank(m: Matrix) -> int:
     return len(_eliminate(m)[1])
+
+
+def boundary_rank(columns, n_rows, field) -> int:
+    """Rank of an *n_rows*-row boundary matrix given by its columns, with
+    no dense matrix.
+
+    Column j holds ``(-1)**i`` at row ``columns[j][i]`` (1 over GF(2)), the
+    rows of a column being distinct.  The rank is that of the rows when
+    they are fewer than the columns: the fewer vectors, the fewer
+    insertions.  Each vector goes into an echelon table keyed by its
+    highest index: over GF(2) as an int bitset
+    (:func:`~decomap.gf2kernel.gf2_rank`), over Q as an ``{index: value}``
+    dict whose stored entry at its key is 1.
+    """
+    _check_field(field)
+    transpose = n_rows < len(columns)
+    if field == GF2:
+        if transpose:
+            vectors = [0] * n_rows
+            for j, col in enumerate(columns):
+                bit = 1 << j
+                for r in col:
+                    vectors[r] |= bit
+        else:
+            vectors = []
+            for col in columns:
+                vec = 0
+                for r in col:
+                    vec |= 1 << r
+                vectors.append(vec)
+        return gf2_rank(vectors)
+    if transpose:
+        vectors = [{} for _ in range(n_rows)]
+        for j, col in enumerate(columns):
+            for i, r in enumerate(col):
+                vectors[r][j] = -1 if i & 1 else 1
+    else:
+        vectors = [{r: -1 if i & 1 else 1 for i, r in enumerate(col)} for col in columns]
+    echelon = {}
+    for vec in vectors:
+        while vec:
+            key = max(vec)
+            pivot = echelon.get(key)
+            if pivot is None:
+                pv = vec[key]
+                if pv == -1:
+                    vec = {j: -x for j, x in vec.items()}
+                elif pv != 1:
+                    inv = 1 / Fraction(pv)
+                    vec = {j: x * inv for j, x in vec.items()}
+                echelon[key] = vec
+                break
+            f = vec[key]
+            for j, x in pivot.items():
+                y = vec.get(j, 0) - f * x
+                if y:
+                    vec[j] = y
+                else:
+                    del vec[j]
+    return len(echelon)
 
 
 def _reduced_kernel(red, piv, ncols, field) -> Matrix:

@@ -11,7 +11,8 @@ pivot-eligible column (the standard boundary-matrix reduction of
 Zomorodian and Carlsson, row-wise), then back-substituted right to left
 into reduced row-echelon form, and unpacked with one ``np.unpackbits``.
 RREF is unique, so the result equals that of any other correct
-elimination.
+elimination.  :func:`gf2_rank` makes the same echelon insertion on
+bitsets built by the caller, and keeps only the count of pivots.
 """
 
 from __future__ import annotations
@@ -74,6 +75,26 @@ def gf2_rref(a, n_pivot_cols=None):
     )
     packed = np.frombuffer(out, dtype=np.uint8).reshape(m, row_bytes)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little"), pivots
+
+
+def gf2_rank(vectors):
+    """Rank over GF(2) of Python-int bitsets (bit j for coordinate j).
+
+    Each vector is inserted into an echelon table keyed by its highest set
+    bit (one ``bit_length``, where the lowest would need two more big-int
+    operations), XOR-ing in the vector already stored there until the bit
+    is new or nothing is left.
+    """
+    echelon = {}
+    for vec in vectors:
+        while vec:
+            top = vec.bit_length() - 1
+            pivot = echelon.get(top)
+            if pivot is None:
+                echelon[top] = vec
+                break
+            vec ^= pivot
+    return len(echelon)
 
 
 def gf2_matmul(a, b):

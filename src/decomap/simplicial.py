@@ -12,10 +12,25 @@ interval this coincides with the set of simplices whose piecewise-linear
 image lies in the interval (vertex values of a simplex span a convex
 range).  Preimages of disjoint unions keep a simplex only when all its
 vertex values sit in a single piece.
+
+Preimages are read off a value index, built once per complex and scalar
+field and kept as a one-entry cache on the complex: the vertices sorted
+by value, and per dimension the simplices sorted by the highest value
+rank among their vertices, each with its lowest.  An open interval is a
+range of value ranks, found by bisection; a simplex lies in its preimage
+when its highest rank is below the range's end and its lowest is not
+below its start, so a query compares ranks and never a function value.
+
+Boundaries are listed from a face table, built once per complex: each
+n-simplex's faces as ids of (n-1)-simplices.  :func:`boundary_faces`
+turns it into a handle's local row indices, which
+:func:`boundary_matrix` places into a matrix and
+:func:`~decomap.exactlinalg.boundary_rank` reduces without one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 from .exactlinalg import GF2, Matrix, as_fraction
@@ -45,6 +60,8 @@ class SimplicialComplex:
         self.max_dim = max(self.simplices, default=-1)
         self.vertices = tuple(s[0] for s in self.simplices.get(0, ()))
         self._maximal = None
+        self._faces = {}
+        self._value_index = None  # (scalar field, its index): one entry
         self._hom_cache = {}
 
     def n_simplices(self, dim):
@@ -64,6 +81,17 @@ class SimplicialComplex:
                 out.extend(s for s in self.simplices[d] if s not in covered)
             self._maximal = tuple(out)
         return self._maximal
+
+    def face_ids(self, n):
+        """Per n-simplex, the ids of its n+1 faces among the
+        (n-1)-simplices; face i leaves out vertex i."""
+        if n not in self._faces:
+            index = {t: i for i, t in enumerate(self.simplices.get(n - 1, ()))}
+            self._faces[n] = [
+                tuple(index[s[:i] + s[i + 1 :]] for i in range(n + 1))
+                for s in self.simplices.get(n, ())
+            ]
+        return self._faces[n]
 
     def full_handle(self):
         return SubcomplexHandle(
@@ -162,6 +190,18 @@ def build_complex(simplices, values):
     return complex_, ScalarField(field_values)
 
 
+def boundary_faces(k, n):
+    """Per n-simplex of the handle, its faces as row indices among the
+    handle's (n-1)-simplices; face i leaves out vertex i and has sign
+    (-1)^i."""
+    ids = k.simplex_ids.get(n)
+    if not ids:
+        return []
+    faces = k.parent.face_ids(n)
+    local = {pi: t for t, pi in enumerate(k.simplex_ids.get(n - 1, ()))}
+    return [[local[q] for q in faces[pi]] for pi in ids]
+
+
 def boundary_matrix(k, n, field=GF2) -> Matrix:
     """Boundary map from n-chains to (n-1)-chains of a (sub)complex.
 
@@ -173,58 +213,85 @@ def boundary_matrix(k, n, field=GF2) -> Matrix:
         k = k.full_handle()
     if n < 1 or n > max(k.parent.max_dim, 1):
         raise DegreeOutOfRange(f"degree {n} outside 1..{k.parent.max_dim}")
-    rows = k.n_simplices(n - 1)
-    cols = k.n_simplices(n)
-    row_idx = {s: i for i, s in enumerate(rows)}
+    cols = boundary_faces(k, n)
     faces = range(n + 1)
     signs = [-1 if i & 1 else 1 for i in faces]
     return Matrix.from_entries(
-        len(rows),
+        len(k.simplex_ids.get(n - 1, ())),
         len(cols),
-        [row_idx[s[:i] + s[i + 1 :]] for s in cols for i in faces],
+        [r for col in cols for r in col],
         [j for j in range(len(cols)) for _ in faces],
         signs * len(cols),
         field,
     )
 
 
-def _induced_handle(x, selected, piece_of=None):
-    """Full induced subcomplex on *selected* vertices.
+def _value_index(x, f):
+    """The value index of *x* under *f* (see the module docstring), built
+    on the first query with this scalar field since the last with another.
 
-    With *piece_of* given (vertex -> piece id), a simplex is kept only when
-    all its vertices share a piece, which models preimages of disjoint
-    interval unions.
+    Returns ``(vertices, values, dims)``: the vertices in value order,
+    their values, and per dimension ``(highs, lows, ids)``, the simplex ids
+    in order of their highest vertex rank, with those ranks and their
+    lowest ones.
     """
-    ids = {}
+    cached = x._value_index
+    if cached is not None and cached[0] is f:
+        return cached[1]
+    order = sorted(x.vertices, key=f)
+    rank = {w: r for r, w in enumerate(order)}
+    dims = {}
     for d, sims in x.simplices.items():
-        keep = []
-        for i, s in enumerate(sims):
-            if not all(v in selected for v in s):
-                continue
-            if piece_of is not None and len({piece_of[v] for v in s}) > 1:
-                continue
-            keep.append(i)
-        if keep:
-            ids[d] = tuple(keep)
-    return SubcomplexHandle(x, frozenset(selected), ids)
+        spans = sorted(
+            (max(ranks), min(ranks), i)
+            for i, ranks in enumerate([rank[w] for w in s] for s in sims)
+        )
+        dims[d] = tuple(list(col) for col in zip(*spans))
+    index = (order, [f(w) for w in order], dims)
+    x._value_index = (f, index)
+    return index
+
+
+def _select(index, v):
+    """Vertices and per-dimension simplex ids of the preimage of *v*."""
+    order, values, dims = index
+    lo = bisect_right(values, v.lo)
+    hi = bisect_left(values, v.hi)
+    ids = {}
+    if lo < hi:
+        for d, (highs, lows, sids) in dims.items():
+            a = bisect_left(highs, lo)
+            b = bisect_left(highs, hi, a)
+            keep = [i for i, m in zip(sids[a:b], lows[a:b]) if m >= lo]
+            if keep:
+                keep.sort()
+                ids[d] = keep
+    return order[lo:hi], ids
 
 
 def preimage_subcomplex(x, f, v):
     """Combinatorial preimage of an open interval under the scalar field."""
-    selected = {w for w in x.vertices if v.contains(f(w))}
-    return _induced_handle(x, selected)
+    vertices, ids = _select(_value_index(x, f), v)
+    return SubcomplexHandle(x, vertices, ids)
 
 
 def preimage_of_union(x, f, intervals):
-    """Preimage of a disjoint union of open intervals (one piece each)."""
-    piece_of = {}
-    for w in x.vertices:
-        val = f(w)
-        for t, iv in enumerate(intervals):
-            if iv.contains(val):
-                piece_of[w] = t
-                break
-    return _induced_handle(x, set(piece_of), piece_of)
+    """Preimage of a disjoint union of open intervals (one piece each): the
+    union of the pieces' preimages.  Pieces that overlap raise
+    ``ValueError``."""
+    pieces = sorted(intervals, key=lambda iv: iv.lo)
+    for a, b in zip(pieces, pieces[1:]):
+        if b.lo < a.hi:
+            raise ValueError(f"pieces {a} and {b} overlap")
+    index = _value_index(x, f)
+    vertices = []
+    ids = {}
+    for iv in pieces:
+        vs, piece_ids = _select(index, iv)
+        vertices += vs
+        for d, keep in piece_ids.items():
+            ids.setdefault(d, []).extend(keep)
+    return SubcomplexHandle(x, vertices, {d: sorted(keep) for d, keep in ids.items()})
 
 
 def connected_components(k):

@@ -13,6 +13,7 @@ from decomap.exactlinalg import (
     NotInSpan,
     SpanSolver,
     _rref_q,
+    boundary_rank,
     kernel_basis,
     rank,
 )
@@ -343,6 +344,41 @@ def test_from_entries_matches_numpy_assignment(field, data):
     for (i, j), x in zip(picked, values):
         expect[i, j] = x % 2 if field == GF2 else Fraction(x)
     assert got.field == field and same_data(got, expect)
+
+
+def test_from_entries_over_gf2_takes_integers_mod_2_and_refuses_halves():
+    m = Matrix.from_entries(1, 3, [0, 0, 0], [0, 1, 2], [3, -1, 2], GF2)
+    assert m == Matrix.from_rows([[1, 1, 0]], GF2)
+    assert m.data.dtype == np.uint8
+    # integral Fractions take the per-entry path, and reduce the same way
+    assert Matrix.from_entries(1, 2, [0, 0], [0, 1], [Fraction(3), Fraction(-1)], GF2) == (
+        Matrix.from_rows([[1, 1]], GF2)
+    )
+    with pytest.raises(ValueError, match="not a GF\\(2\\) scalar"):
+        Matrix.from_entries(1, 2, [0, 0], [0, 1], [1, Fraction(1, 2)], GF2)
+
+
+@st.composite
+def signed_columns(draw):
+    """A row count and columns of distinct rows, the entry at position i of
+    a column being (-1)**i."""
+    n_rows = draw(st.integers(0, 7))
+    rows = st.lists(st.integers(0, n_rows - 1), unique=True, max_size=4) if n_rows else st.just([])
+    return n_rows, draw(st.lists(rows, max_size=9))
+
+
+@given(signed_columns(), st.sampled_from([GF2, QQ]))
+@settings(max_examples=200, deadline=None)
+def test_boundary_rank_matches_the_rank_of_the_dense_matrix(layout, field):
+    n_rows, columns = layout
+    dense = Matrix.from_entries(
+        n_rows, len(columns),
+        [r for col in columns for r in col],
+        [j for j, col in enumerate(columns) for _ in col],
+        [-1 if i & 1 else 1 for col in columns for i in range(len(col))],
+        field,
+    )
+    assert boundary_rank(columns, n_rows, field) == rank(dense)
 
 
 @st.composite

@@ -188,16 +188,34 @@ def test_homology_builds_each_boundary_once(monkeypatch):
             return elim(*args, **kwargs)
         return run
 
+    rank_passes = []
+
+    def counting_rank(columns, n_rows, field):
+        rank_passes.append(field)
+        return exactlinalg.boundary_rank(columns, n_rows, field)
+
     monkeypatch.setattr(engine, "boundary_matrix", counting)
+    monkeypatch.setattr(engine, "boundary_rank", counting_rank)
     monkeypatch.setattr(exactlinalg, "gf2_rref", counting_elim(exactlinalg.gf2_rref, GF2))
     monkeypatch.setattr(exactlinalg, "_rref_q", counting_elim(exactlinalg._rref_q, QQ))
-    for field in (GF2, QQ):
-        assert homology(x, field).dims() == (1, 2, 1)
+    spaces = [homology(x, field) for field in (GF2, QQ)]
+    # the dims are ready when homology() returns: ranks only, no dense
+    # boundary and no elimination
+    assert [h.dims() for h in spaces] == [(1, 2, 1)] * 2
+    assert built == [] and eliminated == []
+    assert set(rank_passes) == {GF2, QQ}
+    passes = len(rank_passes)
+    for h in spaces:
+        for n in range(h.max_deg + 1):
+            assert h.basis(n).cols == h.dimension(n)
     assert sorted(n for _, n, _ in built) == [1, 1, 2, 2]
     assert len(set(built)) == len(built)
     # one elimination per degree below the top: [boundary_{n+1} | Z_n]
     # gives degree n's basis and degree n+1's cycles at once
     assert eliminated == [GF2, GF2, QQ, QQ]
+    # later reads of the dims run no rank pass again
+    assert [h.dims() for h in spaces] == [(1, 2, 1)] * 2
+    assert len(rank_passes) == passes
 
 
 def two_elimination_bases(counts, boundary, field):
@@ -246,6 +264,28 @@ def test_engine_bases_match_two_elimination_reference(seed):
             d = build_cellular_leray(x, f, cover, field)
             cc = CosheafChainComplex(d)
             assert_matches_reference(cosheaf_homology(d), cc.counts[:-1], cc.boundary)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_rank_dims_equal_basis_dims(seed):
+    # the dims homology() reads off boundary ranks against the column
+    # counts of the bases, which the engine builds independently of them
+    rng = random.Random(seed)
+    for x, f, _ in (random_instance(rng, max_vertices=30), random_circle_instance(rng)):
+        lo, hi = float(f.min_value()), float(f.max_value())
+        handles = [x.full_handle()]
+        for _ in range(3):
+            a = rng.uniform(lo - 0.5, hi)
+            b = rng.uniform(a + 0.05, hi + 0.5)
+            handles.append(preimage_subcomplex(x, f, OpenInterval(Fraction(a), Fraction(b))))
+        for handle in handles:
+            for field in (GF2, QQ):
+                for top in range(x.max_dim + 1):
+                    h = homology(handle, field, top)
+                    assert h.dims() == tuple(h.basis(n).cols for n in range(top + 1))
+                alternating = sum((-1) ** n * b for n, b in enumerate(h.dims()))
+                assert alternating == euler_characteristic(handle)
 
 
 def test_engine_hands_all_chains_on_past_a_degree_without_cells():

@@ -13,6 +13,8 @@ from decomap.simplicial import (
     DegreeOutOfRange,
     DuplicateVertexInSimplex,
     MissingFunctionValue,
+    ScalarField,
+    SubcomplexHandle,
     boundary_matrix,
     build_complex,
     connected_components,
@@ -194,6 +196,85 @@ def test_preimage_union_of_intervals(hexagon6):
     assert not h.simplex_ids.get(1)
     comps = connected_components(h)
     assert [sorted(c.vertices) for c in comps] == [[0], [3]]
+
+
+def test_preimage_union_refuses_overlapping_pieces(hexagon6):
+    x, f = hexagon6
+    with pytest.raises(ValueError, match="overlap"):
+        preimage_of_union(x, f, [OpenInterval("0", "2"), OpenInterval("1", "3")])
+
+
+def scan_induced_handle(x, selected, piece_of=None):
+    """The full induced subcomplex on *selected*, by a scan of every
+    simplex: the selection the value index replaced, kept as its reference.
+    With *piece_of* (vertex -> piece), a simplex is kept only when all its
+    vertices share a piece."""
+    ids = {}
+    for d, sims in x.simplices.items():
+        keep = []
+        for i, s in enumerate(sims):
+            if not all(v in selected for v in s):
+                continue
+            if piece_of is not None and len({piece_of[v] for v in s}) > 1:
+                continue
+            keep.append(i)
+        if keep:
+            ids[d] = tuple(keep)
+    return SubcomplexHandle(x, frozenset(selected), ids)
+
+
+def scan_preimage(x, f, v):
+    return scan_induced_handle(x, {w for w in x.vertices if v.contains(f(w))})
+
+
+def scan_preimage_of_union(x, f, intervals):
+    piece_of = {}
+    for w in x.vertices:
+        for t, iv in enumerate(intervals):
+            if iv.contains(f(w)):
+                piece_of[w] = t
+                break
+    return scan_induced_handle(x, set(piece_of), piece_of)
+
+
+def assert_same_handle(got, want):
+    assert got.vertices == want.vertices
+    assert got.simplex_ids == want.simplex_ids
+    assert got.cache_key() == want.cache_key()
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_value_index_selects_what_the_scan_selected(seed):
+    rng = random.Random(seed)
+    for x, f, _ in (random_instance(rng, max_vertices=30), random_circle_instance(rng)):
+        # the same complex under a second field with many repeated values;
+        # queries alternate between the two, so the index must follow
+        coarse = ScalarField({w: Fraction(round(2 * f(w)), 2) for w in x.vertices})
+        for g in (f, coarse, f, coarse):
+            values = sorted(set(g.values.values()))
+            lo, hi = values[0], values[-1]
+            points = values + [lo - 1, hi + 1] + [
+                Fraction(rng.uniform(float(lo) - 1, float(hi) + 1)) for _ in range(4)
+            ]
+            intervals = [OpenInterval(lo - 1, hi + 1), OpenInterval(hi, hi + 1)]
+            if len(values) > 1:
+                # no vertex value strictly between two neighbouring values
+                intervals.append(OpenInterval(values[0], values[1]))
+            for _ in range(6):
+                a, b = sorted(rng.sample(points, 2))
+                if a < b:
+                    intervals.append(OpenInterval(a, b))
+            for v in intervals:
+                assert_same_handle(preimage_subcomplex(x, g, v), scan_preimage(x, g, v))
+            for _ in range(4):
+                cuts = sorted(set(rng.sample(points, min(len(points), 2 * rng.randint(1, 3)))))
+                # disjoint pieces, neighbours sharing an endpoint now and then
+                pieces = [OpenInterval(a, b) for a, b in zip(cuts, cuts[1:])][:: rng.randint(1, 2)]
+                rng.shuffle(pieces)
+                assert_same_handle(
+                    preimage_of_union(x, g, pieces), scan_preimage_of_union(x, g, pieces)
+                )
 
 
 def test_components_against_oracle_random():
