@@ -261,6 +261,29 @@ def _write_q(data, rows):
             data[i, j] = Fraction(x)
 
 
+def _q_unit(row, c):
+    """The sparse rational *row* scaled so that its entry at *c* is 1: a
+    new dict unless that entry is 1 already, negated when it is -1."""
+    pv = row[c]
+    if pv == -1:
+        return {j: -x for j, x in row.items()}
+    if pv != 1:
+        inv = 1 / Fraction(pv)
+        return {j: x * inv for j, x in row.items()}
+    return row
+
+
+def _q_subtract(row, f, pivot):
+    """``row -= f * pivot`` in place on sparse rational rows, dropping the
+    entries that become zero."""
+    for j, x in pivot.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
+
+
 def _rref_q(data, n_pivot_cols):
     """Full RREF of a Fraction object array, in place; returns pivot cols.
 
@@ -278,25 +301,13 @@ def _rref_q(data, n_pivot_cols):
         p = next((i for i in range(r, m) if c in rows[i]), -1)
         if p < 0:
             continue
-        prow = rows[p]
+        prow = _q_unit(rows[p], c)
         rows[p] = rows[r]
-        pv = prow[c]
-        if pv == -1:
-            prow = {j: -x for j, x in prow.items()}
-        elif pv != 1:
-            inv = 1 / Fraction(pv)
-            prow = {j: x * inv for j, x in prow.items()}
         rows[r] = prow
         for i, row in enumerate(rows):
             f = row.get(c)
-            if f is None or i == r:
-                continue
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
+            if f is not None and i != r:
+                _q_subtract(row, f, prow)
         pivots.append(c)
     _write_q(data, rows)
     return pivots
@@ -330,39 +341,42 @@ def rank(m: Matrix) -> int:
 
 
 def boundary_rank(columns, n_rows, field) -> int:
-    """Rank of an *n_rows*-row boundary matrix given by its columns, with
-    no dense matrix.
+    """Rank of a boundary matrix with *n_rows* nonzero-capable rows, given
+    by its columns, with no dense matrix.
 
-    Column j holds ``(-1)**i`` at row ``columns[j][i]`` (1 over GF(2)), the
-    rows of a column being distinct.  The rank is that of the rows when
-    they are fewer than the columns: the fewer vectors, the fewer
-    insertions.  Each vector goes into an echelon table keyed by its
-    highest index: over GF(2) as an int bitset
-    (:func:`~decomap.gf2kernel.gf2_rank`), over Q as an ``{index: value}``
-    dict whose stored entry at its key is 1.
+    Column j holds ``(-1)**i`` at the row labelled ``columns[j][i]`` (1
+    over GF(2)).  Labels are distinct within a column and may be any
+    non-negative ints, such as the ids of faces in the whole complex: the
+    rank does not depend on how the rows are numbered.  The rank is that of
+    the rows when they are fewer than the columns, otherwise that of the
+    columns: the fewer vectors, the fewer insertions.  Each vector goes
+    into an echelon table keyed by its highest index: over GF(2) as an int
+    bitset (:func:`~decomap.gf2kernel.gf2_rank`), over Q as an
+    ``{index: value}`` dict whose stored entry at its key is 1.
     """
     _check_field(field)
     transpose = n_rows < len(columns)
     if field == GF2:
         if transpose:
-            vectors = [0] * n_rows
+            rows = {}
             for j, col in enumerate(columns):
                 bit = 1 << j
                 for r in col:
-                    vectors[r] |= bit
-        else:
-            vectors = []
-            for col in columns:
-                vec = 0
-                for r in col:
-                    vec |= 1 << r
-                vectors.append(vec)
+                    rows[r] = rows.get(r, 0) | bit
+            return gf2_rank(rows.values())
+        vectors = []
+        for col in columns:
+            vec = 0
+            for r in col:
+                vec |= 1 << r
+            vectors.append(vec)
         return gf2_rank(vectors)
     if transpose:
-        vectors = [{} for _ in range(n_rows)]
+        rows = {}
         for j, col in enumerate(columns):
             for i, r in enumerate(col):
-                vectors[r][j] = -1 if i & 1 else 1
+                rows.setdefault(r, {})[j] = -1 if i & 1 else 1
+        vectors = rows.values()
     else:
         vectors = [{r: -1 if i & 1 else 1 for i, r in enumerate(col)} for col in columns]
     echelon = {}
@@ -371,21 +385,9 @@ def boundary_rank(columns, n_rows, field) -> int:
             key = max(vec)
             pivot = echelon.get(key)
             if pivot is None:
-                pv = vec[key]
-                if pv == -1:
-                    vec = {j: -x for j, x in vec.items()}
-                elif pv != 1:
-                    inv = 1 / Fraction(pv)
-                    vec = {j: x * inv for j, x in vec.items()}
-                echelon[key] = vec
+                echelon[key] = _q_unit(vec, key)
                 break
-            f = vec[key]
-            for j, x in pivot.items():
-                y = vec.get(j, 0) - f * x
-                if y:
-                    vec[j] = y
-                else:
-                    del vec[j]
+            _q_subtract(vec, vec[key], pivot)
     return len(echelon)
 
 

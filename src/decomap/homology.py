@@ -192,8 +192,8 @@ def chain_homology(counts, boundary, field, subcomplex) -> GradedVectorSpace:
 def homology(k, field=GF2, max_deg=None) -> GradedVectorSpace:
     """Homology of a (sub)complex with deterministic cycle bases, memoized
     on the parent complex.  Its dimensions come from the ranks of the
-    boundaries, read straight off the handle's faces; its bases are those
-    of :func:`chain_homology`, built on first use."""
+    boundaries, read straight off the complex's face table; its bases are
+    those of :func:`chain_homology`, built on first use."""
     if isinstance(k, SimplicialComplex):
         k = k.full_handle()
     parent = k.parent

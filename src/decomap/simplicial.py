@@ -23,9 +23,9 @@ below its start, so a query compares ranks and never a function value.
 
 Boundaries are listed from a face table, built once per complex: each
 n-simplex's faces as ids of (n-1)-simplices.  :func:`boundary_faces`
-turns it into a handle's local row indices, which
-:func:`boundary_matrix` places into a matrix and
-:func:`~decomap.exactlinalg.boundary_rank` reduces without one.
+picks a handle's rows of it; :func:`~decomap.exactlinalg.boundary_rank`
+reduces those as they are, with no matrix, and :func:`boundary_matrix`
+renumbers them into the handle's rows.
 """
 
 from __future__ import annotations
@@ -191,15 +191,14 @@ def build_complex(simplices, values):
 
 
 def boundary_faces(k, n):
-    """Per n-simplex of the handle, its faces as row indices among the
-    handle's (n-1)-simplices; face i leaves out vertex i and has sign
-    (-1)^i."""
+    """Per n-simplex of the handle, the ids of its faces among the parent's
+    (n-1)-simplices, read off the face table: face i leaves out vertex i
+    and has sign (-1)^i."""
     ids = k.simplex_ids.get(n)
     if not ids:
         return []
     faces = k.parent.face_ids(n)
-    local = {pi: t for t, pi in enumerate(k.simplex_ids.get(n - 1, ()))}
-    return [[local[q] for q in faces[pi]] for pi in ids]
+    return [faces[pi] for pi in ids]
 
 
 def boundary_matrix(k, n, field=GF2) -> Matrix:
@@ -214,12 +213,13 @@ def boundary_matrix(k, n, field=GF2) -> Matrix:
     if n < 1 or n > max(k.parent.max_dim, 1):
         raise DegreeOutOfRange(f"degree {n} outside 1..{k.parent.max_dim}")
     cols = boundary_faces(k, n)
+    local = {pi: t for t, pi in enumerate(k.simplex_ids.get(n - 1, ()))}
     faces = range(n + 1)
     signs = [-1 if i & 1 else 1 for i in faces]
     return Matrix.from_entries(
-        len(k.simplex_ids.get(n - 1, ())),
+        len(local),
         len(cols),
-        [r for col in cols for r in col],
+        [local[q] for col in cols for q in col],
         [j for j in range(len(cols)) for _ in faces],
         signs * len(cols),
         field,

@@ -367,9 +367,9 @@ def signed_columns(draw):
     return n_rows, draw(st.lists(rows, max_size=9))
 
 
-@given(signed_columns(), st.sampled_from([GF2, QQ]))
+@given(signed_columns(), st.data(), st.sampled_from([GF2, QQ]))
 @settings(max_examples=200, deadline=None)
-def test_boundary_rank_matches_the_rank_of_the_dense_matrix(layout, field):
+def test_boundary_rank_matches_the_rank_of_the_dense_matrix(layout, data, field):
     n_rows, columns = layout
     dense = Matrix.from_entries(
         n_rows, len(columns),
@@ -379,6 +379,11 @@ def test_boundary_rank_matches_the_rank_of_the_dense_matrix(layout, field):
         field,
     )
     assert boundary_rank(columns, n_rows, field) == rank(dense)
+    # rows may carry any distinct labels, as a handle's rows carry their
+    # face ids in the whole complex
+    labels = data.draw(st.lists(st.integers(0, 300), unique=True, min_size=n_rows, max_size=n_rows))
+    relabelled = [[labels[r] for r in col] for col in columns]
+    assert boundary_rank(relabelled, n_rows, field) == rank(dense)
 
 
 @st.composite
