@@ -357,7 +357,7 @@ def cmd_converge(args):
         mm = "-" if r.mismatch_count is None else str(r.mismatch_count)
         il = "-" if r.interleaving_pass is None else ("pass" if r.interleaving_pass else "FAIL")
         print(
-            f"{r.cover_size:>5} {float(r.resolution):>12.6f} {str(r.admissible):>10}"
+            f"{r.cover_size:>5} {_fmt(r.resolution):>12} {str(r.admissible):>10}"
             f" {r.sample_count:>8} {mm:>11} {il:>12}"
         )
     if args.csv:

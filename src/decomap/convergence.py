@@ -20,11 +20,12 @@ Three layers of machinery:
 * ``interleaving_check`` certifies the resolution bound: with eps the
   cover resolution, candidate maps between the extension and the true
   (combinatorial) preimage homology satisfy both triangle identities
-  exactly.  ``convergence_table`` sweeps refined covers and counts where
-  the extension still disagrees with the preimage oracle.
+  exactly.  By functoriality they reduce to invertible witnesses and the
+  square for (V, V^eps), the one square computation both checks share.
+  ``convergence_table`` sweeps refined covers and counts where the
+  extension still disagrees with the preimage oracle.
 
-Every map here (extension map, MV witness, inclusion-induced map and the
-interleaving maps built from them) is a
+Every map here (extension map, MV witness and inclusion-induced map) is a
 :class:`~decomap.homology.GradedLinearMap`, composed with ``@`` and
 compared with ``==`` degree by degree; maps between homologies come from
 :func:`~decomap.homology.induced_map`.  Everything is exact; a failed
@@ -226,6 +227,18 @@ def _cosheaf(x, f, c, field, max_deg, d: CellularCosheaf | None) -> CellularCosh
     return d
 
 
+def _square(x, f, c, d: CellularCosheaf, v, w):
+    """The witness square for V inside W, the one both checks read: the MV
+    witnesses MV_V and MV_W, the extension map ext(V, W), the inclusion
+    incl(U_V -> U_W) of the union preimages, and the composites
+    MV_W @ ext(V, W) and incl(U_V -> U_W) @ MV_V round it."""
+    wit_v = mv_isomorphism(x, f, c, d, sub_nerve(c, d, v))
+    wit_w = mv_isomorphism(x, f, c, d, sub_nerve(c, d, w))
+    left = extension_map(d, c, v, w)
+    right = induced_map(wit_v.target, wit_w.target)
+    return wit_v, wit_w, left, right, wit_w @ left, right @ wit_v
+
+
 def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
                             d: CellularCosheaf | None = None) -> CommutingSquareReport:
     """Check the witness squares for V inside W by exact matrix equality.
@@ -241,13 +254,7 @@ def verify_commuting_square(x, f, c, v, w, field=None, max_deg=None,
     if not (w.lo <= v.lo and v.hi <= w.hi):
         raise NotNested(f"{v} not contained in {w}")
     d = _cosheaf(x, f, c, field, max_deg, d)
-    k_v = sub_nerve(c, d, v)
-    k_w = sub_nerve(c, d, w)
-    wit_v = mv_isomorphism(x, f, c, d, k_v)
-    wit_w = mv_isomorphism(x, f, c, d, k_w)
-    left = extension_map(d, c, v, w)
-    right = induced_map(wit_v.target, wit_w.target)
-    lhs, rhs = wit_w @ left, right @ wit_v
+    wit_v, wit_w, left, right, lhs, rhs = _square(x, f, c, d, v, w)
     rows = [
         SquareDegreeReport(
             degree=n,
@@ -362,21 +369,30 @@ def _pieces_contained(small_pieces, big_pieces):
     )
 
 
-def _phi(d, witness, pre_handle) -> GradedLinearMap:
-    """L(V) -> C(V): include the preimage into the union, then invert MV."""
-    inc = induced_map(homology(pre_handle, d.field, d.max_deg), witness.target)
-    back = [witness.inverse(n) for n in range(d.max_deg + 1)]
-    return GradedLinearMap(witness.target, witness.source, back) @ inc
-
-
 def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
                        d: CellularCosheaf | None = None) -> InterleavingReport:
     """Certify an eps-interleaving with eps equal to the cover resolution.
 
-    For each sampled interval V this checks, exactly: the set containments
-    (V within the cover support is covered by the K_V union, which sits in
-    the eps-thickening), and both triangle identities for the candidate
-    maps phi: L(V) -> C(V) and psi: C(V) -> L(V^eps).
+    For each sampled interval V this checks, exactly, the set containments
+    (V within the cover support is covered by U_V, the union of the K_V
+    cover sets, which sits in the eps-thickening V^eps) and both triangle
+    identities for phi_V = MV_V^-1 @ incl(f^-1 V -> U_V): L(V) -> C(V) and
+    psi_V = incl(U_V -> f^-1 V^eps) @ MV_V: C(V) -> L(V^eps), with MV the
+    Mayer-Vietoris witnesses and incl an inclusion-induced map.  By
+    functoriality of incl, no homology of f^-1 V or f^-1 V^eps is needed:
+
+    * Triangle 1, psi_V @ phi_V == incl(f^-1 V -> f^-1 V^eps), holds exactly
+      when MV_V is invertible in every degree.  Admissibility puts f^-1 V
+      inside U_V (a simplex's values lie in one cover element, which then
+      meets V) and the containments put U_V inside f^-1 V^eps, so the two
+      inclusions compose to the right side.  Triangle 1 is derived, not
+      recomputed.
+    * Triangle 2, phi_(V^eps) @ psi_V == ext(V, V^eps), whose left side is
+      MV_(V^eps)^-1 @ incl(U_V -> U_(V^eps)) @ MV_V, holds exactly when
+      MV_(V^eps) is invertible and the square for (V, V^eps) commutes, as
+      :func:`verify_commuting_square` reads it.
+
+    A witness that is not invertible fails its triangle; nothing raises.
 
     All homology is taken over the field and up to the degree of *d*;
     *field* (GF(2) when omitted) and *max_deg* only choose them when *d* is
@@ -392,9 +408,7 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
     checks = []
     for v in sample_intervals(c, samples, seed):
         v_eps = thicken(v, eps)
-        k_v = sub_nerve(c, d, v)
-        k_e = sub_nerve(c, d, v_eps)
-        pieces_v = union_support(c, k_v)
+        pieces_v = union_support(c, sub_nerve(c, d, v))
         v_cap_support = [p for p in (v.intersect(s) for s in support) if p is not None]
         containment = _pieces_contained(v_cap_support, pieces_v) and all(
             v_eps.lo <= p.lo and p.hi <= v_eps.hi for p in pieces_v
@@ -402,19 +416,15 @@ def interleaving_check(x, f, c, samples=20, seed=0, field=None, max_deg=None,
         if not containment:
             checks.append(SampleCheck(v, False, False, False))
             continue
-        wit_v = mv_isomorphism(x, f, c, d, k_v)
-        wit_e = mv_isomorphism(x, f, c, d, k_e)
-        pre_v = preimage_subcomplex(x, f, v)
-        pre_e = preimage_subcomplex(x, f, v_eps)
-        l_v = homology(pre_v, d.field, d.max_deg)
-        l_e = homology(pre_e, d.field, d.max_deg)
-        phi_v = _phi(d, wit_v, pre_v)
-        phi_e = _phi(d, wit_e, pre_e)
-        psi_v = induced_map(wit_v.target, l_e) @ wit_v
-        t1 = psi_v @ phi_v == induced_map(l_v, l_e)
-        t2 = phi_e @ psi_v == extension_map(d, c, v, v_eps)
+        wit_v, wit_e, _, _, lhs, rhs = _square(x, f, c, d, v, v_eps)
+        t1 = _invertible(wit_v)
+        t2 = _invertible(wit_e) and lhs == rhs
         checks.append(SampleCheck(v, containment, t1, t2))
     return InterleavingReport(eps, checks)
+
+
+def _invertible(g: GradedLinearMap) -> bool:
+    return all(g.is_isomorphism(n) for n in range(g.max_deg + 1))
 
 
 @dataclass

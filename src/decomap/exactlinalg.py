@@ -28,7 +28,7 @@ which together with full reduction makes every result here — and every
 homology basis built on top — reproducible bit for bit.  :func:`rank` and
 :func:`kernel_basis` reduce the bare matrix; :class:`SpanSolver` alone
 appends an identity block, to record the change of basis that its solves
-(inverses included) apply.
+apply.
 """
 
 from __future__ import annotations

@@ -104,7 +104,6 @@ class GradedLinearMap:
         self.source = source
         self.target = target
         self.matrices = list(matrices)
-        self._inverses = {}
 
     def matrix(self, n) -> Matrix:
         return self.matrices[n]
@@ -115,17 +114,6 @@ class GradedLinearMap:
 
     def rank(self, n):
         return rank(self.matrices[n])
-
-    def inverse(self, n) -> Matrix:
-        """Exact inverse of the degree-n matrix, computed once: the solve of
-        the identity.  ``ValueError`` unless the matrix is square, and
-        ``NotInSpan`` when it is singular."""
-        if n not in self._inverses:
-            m = self.matrices[n]
-            if m.rows != m.cols:
-                raise ValueError("only square matrices can be inverted")
-            self._inverses[n] = SpanSolver(m).solve(Matrix.identity(m.rows, m.field))
-        return self._inverses[n]
 
     def is_isomorphism(self, n):
         m = self.matrices[n]

@@ -56,7 +56,7 @@ class OpenInterval:
         return self.hi - self.lo
 
     def __repr__(self):
-        return f"({float(self.lo):g}, {float(self.hi):g})"
+        return f"({self.lo}, {self.hi})"
 
 
 class Cover:

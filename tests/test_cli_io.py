@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,46 @@ def test_cli_nerve_and_uniform(tmp_path, capsys):
     rc = main(["nerve", "--cover", single])
     assert rc == 0
     assert "vertices: 1" in capsys.readouterr().out
+
+
+def huge_hexagon(tmp_path):
+    """assets/hexagon.scx with the value of vertex 2 beyond float range."""
+    text = (ASSETS / "hexagon.scx").read_text()
+    assert "\nv 2 1\n" in text
+    return write(tmp_path, "huge.scx", text.replace("\nv 2 1\n", "\nv 2 1e400\n"))
+
+
+def test_cli_nerve_prints_overlaps_exactly(tmp_path, capsys):
+    assert main(["nerve", "--cover", str(ASSETS / "fine.cov")]) == 0
+    assert "edge 0 1  overlap (4/5, 6/5)\n" in capsys.readouterr().out
+    huge = write(tmp_path, "huge.cov", "i 0 1e400\ni 1 2e400\n")
+    assert main(["nerve", "--cover", huge]) == 0
+    assert f"edge 0 1  overlap (1, {10**400})\n" in capsys.readouterr().out
+
+
+def test_cli_converge_prints_the_resolution_exactly(tmp_path, capsys):
+    # the table's resolution column is the CSV's, a value beyond float
+    # range included
+    for complex_path in (str(ASSETS / "hexagon.scx"), huge_hexagon(tmp_path)):
+        csv = tmp_path / "t.csv"
+        rc = main(["converge", "--complex", complex_path, "--levels", "2",
+                   "--samples", "2", "--csv", str(csv)])
+        assert rc == 0
+        table = capsys.readouterr().out.splitlines()[1:]
+        rows = csv.read_text().splitlines()[1:]
+        assert [t.split()[1] for t in table] == [r.split(",")[1] for r in rows]
+        assert len(rows) == 2
+
+
+def test_cli_verify_prop_prints_intervals_exactly(tmp_path, capsys):
+    wide = write(tmp_path, "wide.cov", "i -1 2e400\n")
+    rc = main(["verify-prop", "--complex", huge_hexagon(tmp_path), "--cover", wide,
+               "--samples", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    ends = re.findall(r"[VW]=\(([-0-9/]+), ([-0-9/]+)\)", out)
+    assert len(ends) == 4 and "2/2 squares verified" in out
+    assert max(Fraction(b) for _, b in ends) > 10**399
 
 
 def test_cli_verify_prop(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from decomap import assets
 from decomap.convergence import (
     NotNested,
+    SampleCheck,
     SolveFailure,
     continuous_extension,
     convergence_table,
@@ -22,10 +24,20 @@ from decomap.convergence import (
 )
 from decomap.cosheaf_homology import CosheafChainComplex, homology_of_restriction
 from decomap.exactlinalg import GF2, QQ, Matrix, SpanSolver, rank
-from decomap.homology import homology, induced_map
-from decomap.interval_cover import Cover, OpenInterval, sub_nerve, thicken, uniform_cover
+from decomap.homology import GradedLinearMap, homology, induced_map
+from decomap.interval_cover import (
+    Cover,
+    OpenInterval,
+    admissible,
+    merge_intervals,
+    resolution,
+    sub_nerve,
+    thicken,
+    uniform_cover,
+    union_support,
+)
 from decomap.leray_cosheaf import build_cellular_leray
-from decomap.simplicial import ScalarField, boundary_matrix
+from decomap.simplicial import ScalarField, boundary_matrix, preimage_subcomplex
 from instancegen import random_circle_instance, random_instance, random_nested_pair
 
 FINE = Cover([OpenInterval("-0.5", "1.2"), OpenInterval("0.8", "2.2"),
@@ -265,6 +277,128 @@ def test_mv_witness_matches_the_reference_assembly():
                 cc = homology_of_restriction(d, k.vertices, k.edges).subcomplex
                 zig_zags += any(h1_part(cc, n) for n in range(1, d.max_deg + 2))
     assert zig_zags >= 12
+
+
+def reference_interleaving(x, f, c, samples, seed, d):
+    """The sample checks of ``interleaving_check`` computed from their
+    definition: phi = MV^-1 @ incl(f^-1 V -> U_V) and psi = incl(U_V ->
+    f^-1 V^eps) @ MV, with the homology of each sample's preimages, maps
+    induced by inclusion, and each witness inverted by solving the
+    identity."""
+
+    def phi(witness, preimage):
+        back = [SpanSolver(m).solve(Matrix.identity(m.rows, m.field)) for m in witness.matrices]
+        return GradedLinearMap(witness.target, witness.source, back) @ induced_map(
+            preimage, witness.target)
+
+    eps = resolution(c)
+    support = merge_intervals(c.elements)
+    out = []
+    for v in sample_intervals(c, samples, seed):
+        v_eps = thicken(v, eps)
+        k_v, k_e = sub_nerve(c, d, v), sub_nerve(c, d, v_eps)
+        pieces = union_support(c, k_v)
+        inside = [p for p in (v.intersect(s) for s in support) if p is not None]
+        if not (
+            all(any(b.lo <= s.lo and s.hi <= b.hi for b in pieces) for s in inside)
+            and all(v_eps.lo <= p.lo and p.hi <= v_eps.hi for p in pieces)
+        ):
+            out.append(SampleCheck(v, False, False, False))
+            continue
+        wit_v, wit_e = (mv_isomorphism(x, f, c, d, k) for k in (k_v, k_e))
+        l_v, l_e = (homology(preimage_subcomplex(x, f, u), d.field, d.max_deg)
+                    for u in (v, v_eps))
+        psi_v = induced_map(wit_v.target, l_e) @ wit_v
+        t1 = psi_v @ phi(wit_v, l_v) == induced_map(l_v, l_e)
+        t2 = phi(wit_e, l_e) @ psi_v == extension_map(d, c, v, v_eps)
+        out.append(SampleCheck(v, True, t1, t2))
+    return out
+
+
+def assert_interleaving_matches_reference(x, f, cover, samples, seed):
+    for field in (GF2, QQ):
+        d = build_cellular_leray(x, f, cover, field)
+        rep = interleaving_check(x, f, cover, samples, seed, d=d)
+        ref = reference_interleaving(x, f, cover, samples, seed, d)
+        assert [astuple(s) for s in rep.checks] == [astuple(s) for s in ref]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_interleaving_matches_the_definition(seed, circle):
+    # triangle 1 read off the invertible witness and triangle 2 off the
+    # square agree with phi and psi built from the preimages' homology
+    rng = random.Random(seed)
+    x, f, cover = random_circle_instance(rng) if circle else random_instance(rng, 30)
+    assert_interleaving_matches_reference(x, f, cover, 6, rng.randrange(100))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_interleaving_matches_the_definition_on_the_hexagon(hexagon96, n):
+    x, f = hexagon96
+    cover = uniform_cover(n, "0.45", f.min_value(), f.max_value())
+    assert admissible(cover, x, f)
+    assert_interleaving_matches_reference(x, f, cover, 20, 42)
+
+
+def singular(witness, n):
+    """*witness* with its degree-n matrix zeroed."""
+    mats = list(witness.matrices)
+    mats[n] = Matrix.zeros(mats[n].rows, mats[n].cols, witness.source.field)
+    return GradedLinearMap(witness.source, witness.target, mats)
+
+
+def test_interleaving_fails_the_triangle_of_a_singular_witness(hexagon6):
+    # triangle 1 needs MV_V invertible, and triangle 2 needs MV_(V^eps); a
+    # singular witness fails its triangle instead of raising
+    x, f = hexagon6
+    v = sample_intervals(FINE, 1, 0)[0]
+    v_eps = thicken(v, resolution(FINE))
+    for u in (v, v_eps):
+        d = build_cellular_leray(x, f, FINE)
+        k_v, k_e = sub_nerve(FINE, d, v), sub_nerve(FINE, d, v_eps)
+        assert (k_v.vertices, k_v.edges) != (k_e.vertices, k_e.edges)
+        assert interleaving_check(x, f, FINE, samples=1, seed=0, d=d).verdict
+        k = sub_nerve(FINE, d, u)
+        wit = mv_isomorphism(x, f, FINE, d, k)
+        top = max(n for n in range(d.max_deg + 1) if wit.source.dimension(n))
+        d.witness_cache[k.vertices, k.edges] = singular(wit, top)
+        (check,) = interleaving_check(x, f, FINE, samples=1, seed=0, d=d).checks
+        assert check.v == v and check.containment_ok
+        if u is v:
+            assert not check.triangle1_ok
+        else:
+            assert check.triangle1_ok and not check.triangle2_ok
+
+
+def test_interleaving_fails_triangle_two_on_a_square_that_does_not_commute(hexagon6):
+    # MV_(V^eps) doubled over Q is still invertible, but the square for
+    # (V, V^eps) no longer commutes
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE, QQ)
+    v = sample_intervals(FINE, 1, 0)[0]
+    v_eps = thicken(v, resolution(FINE))
+    k = sub_nerve(FINE, d, v_eps)
+    wit = mv_isomorphism(x, f, FINE, d, k)
+    doubled = GradedLinearMap(wit.source, wit.target, [m + m for m in wit.matrices])
+    d.witness_cache[k.vertices, k.edges] = doubled
+    (check,) = interleaving_check(x, f, FINE, samples=1, seed=0, d=d).checks
+    assert check.containment_ok and check.triangle1_ok and not check.triangle2_ok
+    rep = verify_commuting_square(x, f, FINE, v, v_eps, d=d)
+    assert all(r.witnesses_iso for r in rep.degrees) and not rep.ok
+
+
+def test_commuting_square_needs_the_target_witness_invertible(hexagon6):
+    x, f = hexagon6
+    d = build_cellular_leray(x, f, FINE)
+    w = OpenInterval(-1, 4)
+    k_w = sub_nerve(FINE, d, w)
+    wit = mv_isomorphism(x, f, FINE, d, k_w)
+    assert verify_commuting_square(x, f, FINE, V_PROBE, w, d=d).ok
+    d.witness_cache[k_w.vertices, k_w.edges] = singular(wit, 1)
+    rep = verify_commuting_square(x, f, FINE, V_PROBE, w, d=d)
+    assert [r.witnesses_iso for r in rep.degrees] == [True, False]
+    assert not rep.ok
 
 
 def test_interleaving_single_element_cover(hexagon6):

@@ -95,6 +95,18 @@ def test_induced_nesting_violation(hexagon6):
         induced_map(a, b)
 
 
+def test_handles_of_two_complexes_do_not_nest():
+    # the same simplices built twice give handles with the same ids, but
+    # their chains live in different complexes
+    sims = [(0, 1), (1, 2), (0, 2)]
+    values = {0: 0, 1: 1, 2: 2}
+    a, b = (build_complex(sims, values)[0].full_handle() for _ in range(2))
+    assert a.simplex_ids == b.simplex_ids
+    assert a.contains(a) and not a.contains(b) and not b.contains(a)
+    with pytest.raises(NestingViolation):
+        induced_map(homology(a, GF2), homology(b, GF2))
+
+
 def test_compose_shape_mismatch(hexagon6):
     x, f = hexagon6
     a = homology(preimage_subcomplex(x, f, OpenInterval("0.8", "2.2")), GF2)
